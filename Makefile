@@ -13,12 +13,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full benchmark run; BenchmarkBatchVsTuple is the batched-vs-tuple
-# engine comparison the performance bars are measured on.
+# Full benchmark run: one benchmark per paper table/figure plus the
+# design ablations (bench_test.go).
 bench:
-	$(GO) test -run XXX -bench . -benchtime=10x ./internal/exec ./internal/bench
+	$(GO) test -run XXX -bench . -benchtime=10x .
 
-# Regenerate the committed batch-vs-tuple baseline (BENCH_N.json).
+# Regenerate the committed merge-join comparison grid (BENCH_N.json).
 bench-compare:
 	$(GO) run ./cmd/fuzzybench -compare -scalediv 8
 

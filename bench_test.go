@@ -158,6 +158,17 @@ func ablationRelations(b *testing.B, n int, width float64) (outer, inner *frel.R
 	return r, s
 }
 
+// mergeJoin builds the serial extended merge-join of the two sorted
+// relations on B.
+func mergeJoin(b *testing.B, r, s *frel.Relation, c *exec.Counters) exec.Source {
+	b.Helper()
+	mj, err := exec.NewKernelMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", fuzzy.Crisp(0), nil, c, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return mj
+}
+
 func drainJoin(b *testing.B, src exec.Source) int {
 	b.Helper()
 	rel, err := exec.Collect(src)
@@ -174,11 +185,7 @@ func BenchmarkAblationRangeCursor(b *testing.B) {
 	r, s := ablationRelations(b, 2000, 5)
 	b.Run("with-cursor", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mj, err := exec.NewMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", nil, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			drainJoin(b, mj)
+			drainJoin(b, mergeJoin(b, r, s, nil))
 		}
 	})
 	b.Run("no-cursor-sorted-nl", func(b *testing.B) {
@@ -223,51 +230,9 @@ func BenchmarkAblationIntervalWidth(b *testing.B) {
 			var c exec.Counters
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mj, err := exec.NewMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", nil, &c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				drainJoin(b, mj)
+				drainJoin(b, mergeJoin(b, r, s, &c))
 			}
 			b.ReportMetric(float64(c.Comparisons.Load())/float64(b.N), "pairExams/op")
-		})
-	}
-}
-
-// BenchmarkAblationParallelism measures the partitioned parallel
-// merge-join against the serial operator on the Table 1 workload (equal
-// relations, C = 7, 128-byte tuples), at 2, 4, and 8 workers. The inputs
-// are pre-sorted so the comparison isolates the join itself; the parallel
-// operator returns the identical fuzzy relation (see
-// exec.TestParallelMergeJoinEquivalence).
-func BenchmarkAblationParallelism(b *testing.B) {
-	r, s := ablationRelations(b, 8000, 5)
-	run := func(b *testing.B, mk func() (exec.Source, error)) {
-		want := -1
-		for i := 0; i < b.N; i++ {
-			src, err := mk()
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := drainJoin(b, src)
-			if want < 0 {
-				want = n
-			} else if n != want {
-				b.Fatalf("answer cardinality changed: %d vs %d", n, want)
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) {
-		run(b, func() (exec.Source, error) {
-			return exec.NewMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", nil, nil)
-		})
-	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			run(b, func() (exec.Source, error) {
-				return exec.NewParallelMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s),
-					"R.B", "S.B", fuzzy.Crisp(0), nil, nil, workers)
-			})
 		})
 	}
 }

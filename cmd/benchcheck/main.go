@@ -1,8 +1,10 @@
 // Command benchcheck is the CI bench-regression smoke: it re-measures the
-// batch-vs-tuple comparison grid (or a subset of its experiments) with the
+// merge-join comparison grid (or a subset of its experiments) with the
 // same workload parameters as a committed baseline report (BENCH_N.json)
 // and fails when a matched run's cold merge-join wall time regresses past
-// the threshold. Differing answer cardinalities fail regardless of timing.
+// the threshold. Differing answer cardinalities fail regardless of timing,
+// and so does a grid that matches no baseline run at all: a check that
+// compared nothing has not passed.
 //
 //	benchcheck -baseline BENCH_9.json -experiments table1 -threshold 1.25
 //
@@ -45,25 +47,25 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	regs, err := bench.FindRegressions(base, cur, *threshold)
+	regs, matched, err := bench.FindRegressions(base, cur, *threshold)
 	if err != nil {
 		fatal(err)
 	}
-	matched := 0
-	for _, ex := range cur.Experiments {
-		matched += len(ex.Runs)
+	if matched == 0 {
+		fatal(fmt.Errorf("no run of the re-measured grid matches a run of %s; nothing was compared", *baseline))
 	}
 	if len(regs) == 0 {
-		fmt.Printf("benchcheck: %d runs within %.2fx of %s\n", matched, *threshold, *baseline)
+		fmt.Printf("benchcheck: %d matched runs within %.2fx of %s\n", matched, *threshold, *baseline)
 		return
 	}
 	for _, r := range regs {
 		fmt.Fprintf(os.Stderr, "benchcheck: regression: %s\n", r)
 	}
 	if *warnOnly {
-		fmt.Printf("benchcheck: %d regression(s), ignored (-warn-only)\n", len(regs))
+		fmt.Printf("benchcheck: %d of %d matched runs regressed, ignored (-warn-only)\n", len(regs), matched)
 		return
 	}
+	fmt.Printf("benchcheck: %d of %d matched runs regressed past %.2fx of %s\n", len(regs), matched, *threshold, *baseline)
 	os.Exit(1)
 }
 

@@ -48,17 +48,20 @@ func LoadBaseline(path string) (*BenchReport, error) {
 }
 
 // FindRegressions compares current against baseline run by run (matched on
-// experiment name, engine, kernels flag, and worker count) and returns every run whose
-// cold wall time exceeds baseline*maxRatio. Runs present on only one side
-// are skipped — the grids may legitimately differ across revisions — but a
-// differing answer cardinality on a matched run is a hard error: that is a
-// correctness change masquerading as a performance number.
-func FindRegressions(baseline, current *BenchReport, maxRatio float64) ([]Regression, error) {
+// experiment name, engine, kernels flag, worker count and indexed flag)
+// and returns every run whose cold wall time exceeds baseline*maxRatio,
+// together with the number of current runs that matched a baseline run.
+// Runs present on only one side are skipped — the grids may legitimately
+// differ across revisions — so a caller must treat zero matches as a
+// comparison that checked nothing. A differing answer cardinality on a
+// matched run is a hard error: that is a correctness change masquerading
+// as a performance number.
+func FindRegressions(baseline, current *BenchReport, maxRatio float64) (regs []Regression, matched int, err error) {
 	if maxRatio <= 1 {
-		return nil, fmt.Errorf("bench: max ratio %g must exceed 1", maxRatio)
+		return nil, 0, fmt.Errorf("bench: max ratio %g must exceed 1", maxRatio)
 	}
 	if baseline.ScaleDiv != current.ScaleDiv || baseline.Seed != current.Seed {
-		return nil, fmt.Errorf("bench: baseline (scalediv %d, seed %d) and current (scalediv %d, seed %d) measure different workloads",
+		return nil, 0, fmt.Errorf("bench: baseline (scalediv %d, seed %d) and current (scalediv %d, seed %d) measure different workloads",
 			baseline.ScaleDiv, baseline.Seed, current.ScaleDiv, current.Seed)
 	}
 	type key struct {
@@ -73,15 +76,15 @@ func FindRegressions(baseline, current *BenchReport, maxRatio float64) ([]Regres
 			base[key{ex.Name, run.Engine, run.Kernels, run.Workers, run.Indexed}] = run
 		}
 	}
-	var regs []Regression
 	for _, ex := range current.Experiments {
 		for _, run := range ex.Runs {
 			b, ok := base[key{ex.Name, run.Engine, run.Kernels, run.Workers, run.Indexed}]
 			if !ok {
 				continue
 			}
+			matched++
 			if b.Answer != run.Answer {
-				return nil, fmt.Errorf("bench: %s %s kernels=%v workers=%d indexed=%v: answer changed from %d to %d rows",
+				return nil, 0, fmt.Errorf("bench: %s %s kernels=%v workers=%d indexed=%v: answer changed from %d to %d rows",
 					ex.Name, run.Engine, run.Kernels, run.Workers, run.Indexed, b.Answer, run.Answer)
 			}
 			if b.ColdWallNanos <= 0 {
@@ -102,5 +105,5 @@ func FindRegressions(baseline, current *BenchReport, maxRatio float64) ([]Regres
 			}
 		}
 	}
-	return regs, nil
+	return regs, matched, nil
 }

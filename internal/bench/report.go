@@ -8,13 +8,16 @@ import (
 	"repro/internal/frel"
 )
 
-// EngineRun is one merge-join measurement of the batch-vs-tuple
-// comparison: a given engine (batched or tuple-at-a-time) at a given
-// worker count, running the type J query twice in the same environment so
-// the warm run exercises the sort-order cache.
+// EngineRun is one merge-join measurement of the comparison grid: the
+// engine at a given worker count, with or without pre-built order
+// indexes, running the type J query twice in the same environment so the
+// warm run exercises the sort-order cache. Engine and Kernels label the
+// engine the run measured; every current run is "batch" with kernels, the
+// labels the committed baselines key their cells on (older baselines also
+// carry the retired "tuple" and interpreted engines).
 type EngineRun struct {
-	Engine  string `json:"engine"`            // "batch" or "tuple"
-	Kernels bool   `json:"kernels,omitempty"` // fused degree kernels enabled (batch only)
+	Engine  string `json:"engine"`            // "batch" (or "tuple" in old baselines)
+	Kernels bool   `json:"kernels,omitempty"` // fused degree kernels enabled
 	Workers int    `json:"workers"`           // merge-join worker count
 	Indexed bool   `json:"indexed,omitempty"` // persistent order indexes pre-built
 
@@ -33,7 +36,7 @@ type EngineRun struct {
 }
 
 // ExperimentRuns is the comparison grid of one experiment's
-// representative workload: engines x worker counts.
+// representative workload: worker counts x (sorted, indexed) inputs.
 type ExperimentRuns struct {
 	Name       string      `json:"name"`
 	Outer      int         `json:"outer_tuples"`
@@ -42,16 +45,16 @@ type ExperimentRuns struct {
 	TupleBytes int         `json:"tuple_bytes"`
 	Runs       []EngineRun `json:"runs"`
 
-	// ColdIndexedSpeedup is the serial batched cold wall time without
+	// ColdIndexedSpeedup is the serial cold wall time without
 	// indexes divided by the same run with pre-built indexes — how much
 	// the persistent order indexes shorten a cold start.
 	ColdIndexedSpeedup float64 `json:"cold_indexed_speedup,omitempty"`
 }
 
-// BenchReport is the machine-readable batch-vs-tuple comparison
-// fuzzybench -compare emits (committed as BENCH_N.json): the merge-join
-// method on a representative workload of each paper experiment, run by
-// both engines serially and with 4 workers.
+// BenchReport is the machine-readable comparison grid fuzzybench -compare
+// emits (committed as BENCH_N.json): the merge-join method on a
+// representative workload of each paper experiment, run serially and with
+// 4 workers.
 type BenchReport struct {
 	Query       string           `json:"query"`
 	ScaleDiv    int              `json:"scalediv"`
@@ -73,15 +76,9 @@ var reportWorkloads = []struct {
 	{"table4", table4Tuples, table4Tuples, 1, 1024},
 }
 
-// Report measures every report workload under both engines at 1 and 4
-// workers and returns the combined comparison.
-func (c Config) Report() (*BenchReport, error) {
-	return c.ReportFor()
-}
-
-// ReportFor is Report restricted to the named experiments (for the CI
-// regression smoke, which measures only the cheap ones); no names means
-// all of them. Unknown names are an error.
+// ReportFor measures the report workloads of the named experiments at 1
+// and 4 workers and returns the combined comparison; no names means all
+// of them. Unknown names are an error.
 func (c Config) ReportFor(names ...string) (*BenchReport, error) {
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -116,29 +113,21 @@ func (c Config) ReportFor(names ...string) (*BenchReport, error) {
 		// process warmup (Go heap growth to this workload's footprint, OS
 		// page-cache population) that the per-cell warmup eval inside
 		// runEngine is too short to complete on its own.
-		if _, err := cfg.runEngine(w.name, ex.Outer, ex.Inner, w.fanout, w.tupleBytes, false, false, 1, false); err != nil {
+		if _, err := cfg.runEngine(w.name, ex.Outer, ex.Inner, w.fanout, w.tupleBytes, 1, false); err != nil {
 			return nil, err
 		}
-		// The three engine modes: batch with fused kernels (the default
-		// engine), batch interpreted (kernels ablation), tuple-at-a-time.
-		modes := []struct {
-			disableBatch, disableKernels bool
-		}{{false, false}, {false, true}, {true, true}}
-		for _, m := range modes {
-			for _, workers := range []int{1, 4} {
-				run, err := cfg.runEngine(w.name, ex.Outer, ex.Inner, w.fanout, w.tupleBytes, m.disableBatch, m.disableKernels, workers, false)
-				if err != nil {
-					return nil, err
-				}
-				ex.Runs = append(ex.Runs, run)
+		for _, workers := range []int{1, 4} {
+			run, err := cfg.runEngine(w.name, ex.Outer, ex.Inner, w.fanout, w.tupleBytes, workers, false)
+			if err != nil {
+				return nil, err
 			}
+			ex.Runs = append(ex.Runs, run)
 		}
 		if cfg.Indexes {
-			// The ablation leg: the default engine again, with the order
-			// indexes pre-built, so the cold run reads them instead of
-			// sorting.
+			// The ablation leg: the same runs with the order indexes
+			// pre-built, so the cold run reads them instead of sorting.
 			for _, workers := range []int{1, 4} {
-				run, err := cfg.runEngine(w.name, ex.Outer, ex.Inner, w.fanout, w.tupleBytes, false, false, workers, true)
+				run, err := cfg.runEngine(w.name, ex.Outer, ex.Inner, w.fanout, w.tupleBytes, workers, true)
 				if err != nil {
 					return nil, err
 				}
@@ -146,7 +135,7 @@ func (c Config) ReportFor(names ...string) (*BenchReport, error) {
 			}
 			var plain, indexed int64
 			for _, run := range ex.Runs {
-				if run.Engine == "batch" && run.Kernels && run.Workers == 1 {
+				if run.Workers == 1 {
 					if run.Indexed {
 						indexed = run.ColdWallNanos
 					} else {
@@ -165,13 +154,11 @@ func (c Config) ReportFor(names ...string) (*BenchReport, error) {
 
 // runEngine runs the merge-join method twice in one environment (cold
 // then warm sort cache) and records wall times and counters.
-func (c Config) runEngine(name string, nOuter, nInner, fanout, tupleBytes int, disableBatch, disableKernels bool, workers int, indexed bool) (EngineRun, error) {
+func (c Config) runEngine(name string, nOuter, nInner, fanout, tupleBytes, workers int, indexed bool) (EngineRun, error) {
 	cfg := c
 	cfg.Fanout = fanout
 	cfg.TupleBytes = tupleBytes
 	cfg.Parallelism = workers
-	cfg.DisableBatch = disableBatch
-	cfg.DisableKernels = disableKernels
 	cfg.Indexes = indexed
 
 	env, mgr, q, cleanup, err := cfg.setupWorkload(nOuter, nInner)
@@ -237,13 +224,9 @@ func (c Config) runEngine(name string, nOuter, nInner, fanout, tupleBytes int, d
 		}
 	}
 
-	engine := "batch"
-	if disableBatch {
-		engine = "tuple"
-	}
 	return EngineRun{
-		Engine:          engine,
-		Kernels:         !disableBatch && !disableKernels,
+		Engine:          "batch",
+		Kernels:         true,
 		Workers:         workers,
 		Indexed:         indexed,
 		ColdWallNanos:   coldWall.Nanoseconds(),
@@ -260,12 +243,11 @@ func (c Config) runEngine(name string, nOuter, nInner, fanout, tupleBytes int, d
 }
 
 // RenderGrid renders the comparison as a human-readable table: one legend
-// line per experiment (not one per run) naming the engine/flag columns,
-// then one row per run with wall times and the morsel count of the
-// kernel-scheduled joins.
+// line per experiment (not one per run) naming the columns, then one row
+// per run with wall times and the morsel count of the merge-join.
 func (r *BenchReport) RenderGrid() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "batch-vs-tuple comparison  query=%q scalediv=%d seed=%d\n",
+	fmt.Fprintf(&b, "merge-join grid  query=%q scalediv=%d seed=%d\n",
 		r.Query, r.ScaleDiv, r.Seed)
 	for _, ex := range r.Experiments {
 		fmt.Fprintf(&b, "\n%s  (outer=%d inner=%d fanout=%d tuplebytes=%d)\n",
@@ -275,12 +257,8 @@ func (r *BenchReport) RenderGrid() string {
 			"engine", "workers", "cold", "warm", "answer", "morsels")
 		for _, run := range ex.Runs {
 			label := run.Engine
-			if run.Engine == "batch" {
-				if run.Kernels {
-					label += "+kernels"
-				} else {
-					label += "+interp"
-				}
+			if run.Kernels {
+				label += "+kernels"
 			}
 			if run.Indexed {
 				label += "+idx"

@@ -14,9 +14,9 @@ import (
 // ExecStats is the result of an EXPLAIN ANALYZE evaluation: the chosen
 // strategy plus a per-operator tree of runtime measures. The per-operator
 // counters are deterministic for serial execution and aggregate exactly
-// across parallel partitions — the same query reports identical row and
+// across parallel morsels — the same query reports identical row and
 // comparison totals at any Parallelism setting — so they double as
-// correctness oracles for the partitioned operators.
+// correctness oracles for the parallel operators.
 type ExecStats struct {
 	Strategy Strategy
 	Note     string

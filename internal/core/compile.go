@@ -7,6 +7,7 @@ import (
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/fuzzy"
+	"repro/internal/kernel"
 	"repro/internal/plan"
 )
 
@@ -57,7 +58,7 @@ func (e *Env) compileLeaf(nd plan.Node) (exec.Source, error) {
 			return nil, err
 		}
 		base := e.stated("scan", sc.Table.Binding(), s)
-		if n.Fused && e.kernelsOn() {
+		if n.Fused {
 			// Specialize the whole chain into one fused kernel loop. A
 			// bridge error (an operand form the kernel cannot express)
 			// falls through to the interpreted chain, which re-raises any
@@ -129,41 +130,31 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 			if err != nil {
 				return nil, err
 			}
-			node := e.newNode("merge-join", step.LeftAttr+" = "+step.RightAttr)
-			// Compiled path: residual conjuncts become a pair program and
-			// the join runs as the morsel-scheduled kernel merge-join (one
-			// morsel when serial). A bridge error falls back to the
-			// interpreted operators below.
-			if e.kernelsOn() && plan.KernelEligible(extraPreds) {
-				if pp, kerr := e.compilePairProgram(cur.Schema(), next.Schema(), extraPreds); kerr == nil {
-					kj, err := exec.NewKernelMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, pp, &e.Counters, e.workers())
-					if err != nil {
-						return nil, err
-					}
-					kj.Stats = node
-					cur = e.attach(node, kj, sortedCur, sortedNext)
-					continue
+			// Residual conjuncts become a pair program where they have a
+			// kernel form. Otherwise (not kernel-eligible, or a bridge
+			// error) the same morsel sweep evaluates them through the
+			// interpreted closures, which re-raise any genuine resolution
+			// error themselves.
+			var pp *kernel.PairProgram
+			var residual exec.JoinPred
+			if plan.KernelEligible(extraPreds) {
+				if prog, kerr := e.compilePairProgram(cur.Schema(), next.Schema(), extraPreds); kerr == nil {
+					pp = prog
 				}
 			}
-			extra, err := compileExtras()
+			if pp == nil {
+				if residual, err = compileExtras(); err != nil {
+					return nil, err
+				}
+			}
+			kj, err := exec.NewKernelMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, pp, &e.Counters, e.workers())
 			if err != nil {
 				return nil, err
 			}
-			if w := e.workers(); w > 1 {
-				pj, err := exec.NewParallelMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, extra, &e.Counters, w)
-				if err != nil {
-					return nil, err
-				}
-				pj.Stats = node
-				cur = e.attach(node, pj, sortedCur, sortedNext)
-			} else {
-				mj, err := exec.NewBandMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, extra, &e.Counters)
-				if err != nil {
-					return nil, err
-				}
-				mj.Stats = node
-				cur = e.attach(node, mj, sortedCur, sortedNext)
-			}
+			kj.Residual = residual
+			node := e.newNode("merge-join", step.LeftAttr+" = "+step.RightAttr)
+			kj.Stats = node
+			cur = e.attach(node, kj, sortedCur, sortedNext)
 		} else {
 			extra, err := compileExtras()
 			if err != nil {
@@ -279,7 +270,7 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 	} else {
 		// No usable merge order (e.g. string attributes): unnested
 		// anti-join by materializing the inner once.
-		innerRel, err := e.collect(inner)
+		innerRel, err := exec.Collect(inner)
 		if err != nil {
 			return nil, err
 		}
@@ -377,7 +368,7 @@ func (e *Env) finishProject(src exec.Source, items []fsql.SelectItem, shape plan
 	if err != nil {
 		return nil, err
 	}
-	rel, err := e.collect(e.stated("project", "", proj, src))
+	rel, err := exec.Collect(e.stated("project", "", proj, src))
 	if err != nil {
 		return nil, err
 	}

@@ -63,21 +63,10 @@ type Env struct {
 	// and keeps the syntactic relation order (ablation switch).
 	DisableJoinReorder bool
 
-	// Parallelism is the worker count for the partitioned merge-join and
-	// for sort run generation: 0 means exec.DefaultParallelism()
+	// Parallelism is the worker count for the morsel-scheduled merge-join
+	// and for sort run generation: 0 means exec.DefaultParallelism()
 	// (GOMAXPROCS), 1 forces fully serial execution.
 	Parallelism int
-
-	// DisableBatch switches materialization points back to strict
-	// tuple-at-a-time iteration (ablation / comparison switch). The
-	// default (false) drives plans through the batched operators.
-	DisableBatch bool
-
-	// DisableKernels keeps compilation on the interpreted closure
-	// evaluators even where a fused degree kernel applies (ablation
-	// switch). Kernels require the batch engine, so DisableBatch
-	// implies them off.
-	DisableKernels bool
 
 	// Sort-order cache state; see sortcache.go for the keying and
 	// invalidation contract. All maps are lazily initialized.
@@ -204,13 +193,6 @@ func (e *Env) workers() int {
 	return e.Parallelism
 }
 
-// kernelsOn reports whether compilation may specialize eligible operators
-// into fused degree kernels. Kernels run inside the batch engine, so the
-// tuple-at-a-time ablation mode implies them off.
-func (e *Env) kernelsOn() bool {
-	return !e.DisableKernels && !e.DisableBatch
-}
-
 // term resolves a linguistic term: the session-local scope first, then
 // the shared catalog (or the in-memory dictionary without a catalog).
 func (e *Env) term(name string) (fuzzy.Trapezoid, bool) {
@@ -319,24 +301,6 @@ func (e *Env) source(tr fsql.TableRef) (exec.Source, error) {
 	return nil, fmt.Errorf("core: unknown relation %q", name)
 }
 
-// collect materializes src into an in-memory relation, batched unless the
-// ablation switch forces tuple-at-a-time.
-func (e *Env) collect(src exec.Source) (*frel.Relation, error) {
-	if e.DisableBatch {
-		return exec.Collect(src)
-	}
-	return exec.CollectBatched(src)
-}
-
-// spill materializes src into a temporary heap file, batched unless the
-// ablation switch forces tuple-at-a-time.
-func (e *Env) spill(mgr *storage.Manager, src exec.Source) (*storage.HeapFile, error) {
-	if e.DisableBatch {
-		return exec.Spill(mgr, src)
-	}
-	return exec.SpillBatched(mgr, src)
-}
-
 // shiftSource adds a constant distribution to one numeric attribute of
 // every tuple — the tolerance-folding transform of NEAR correlations.
 type shiftSource struct {
@@ -358,38 +322,11 @@ func newShiftSource(src exec.Source, attr string, shift fuzzy.Trapezoid) (exec.S
 
 func (s *shiftSource) Schema() *frel.Schema { return s.src.Schema() }
 
-func (s *shiftSource) Open() (exec.Iterator, error) {
-	it, err := s.src.Open()
-	if err != nil {
-		return nil, err
-	}
-	return &shiftIterator{in: it, idx: s.idx, shift: s.shift}, nil
-}
-
-type shiftIterator struct {
-	in    exec.Iterator
-	idx   int
-	shift fuzzy.Trapezoid
-}
-
-func (it *shiftIterator) Next() (frel.Tuple, bool) {
-	t, ok := it.in.Next()
-	if !ok {
-		return frel.Tuple{}, false
-	}
-	vals := append([]frel.Value{}, t.Values...)
-	vals[it.idx] = frel.Num(fuzzy.Add(vals[it.idx].Num, it.shift))
-	return frel.Tuple{Values: vals, D: t.D}, true
-}
-
-func (it *shiftIterator) Err() error { return it.in.Err() }
-func (it *shiftIterator) Close()     { it.in.Close() }
-
-// OpenBatch implements exec.BatchSource: the shifted values of each batch
-// are written into one fresh arena (a single allocation per batch instead
-// of one per tuple).
-func (s *shiftSource) OpenBatch() (exec.BatchIterator, error) {
-	in, err := exec.OpenBatches(s.src)
+// Open implements exec.Source: the shifted values of each batch are
+// written into one fresh arena (a single allocation per batch instead of
+// one per tuple).
+func (s *shiftSource) Open() (exec.BatchIterator, error) {
+	in, err := s.src.Open()
 	if err != nil {
 		return nil, err
 	}
@@ -430,12 +367,6 @@ type renameSource struct {
 }
 
 func (r *renameSource) Schema() *frel.Schema { return r.schema }
-
-// OpenBatch implements exec.BatchSource by forwarding to the wrapped
-// source (renaming does not touch tuples, so keys pass through too).
-func (r *renameSource) OpenBatch() (exec.BatchIterator, error) {
-	return exec.OpenBatches(r.Source)
-}
 
 // external reports whether the environment has disk-backed storage for
 // spills and external sorts.
@@ -520,7 +451,7 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 			elapsed = time.Since(start)
 			e.Phases.SortIOs += mgr.Stats().IO() - iosBefore
 		} else {
-			tmp, err := e.spill(mgr, src)
+			tmp, err := exec.Spill(mgr, src)
 			if err != nil {
 				return nil, err
 			}
@@ -566,7 +497,7 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		}
 		return out, nil
 	}
-	rel, err := e.collect(src)
+	rel, err := exec.Collect(src)
 	if err != nil {
 		return nil, err
 	}

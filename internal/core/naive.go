@@ -217,22 +217,24 @@ func (e *Env) forEachCross(srcs []exec.Source, fn func(vals []frel.Value, d floa
 		}
 		defer it.Close()
 		for {
-			t, ok := it.Next()
+			b, ok := it.NextBatch()
 			if !ok {
 				break
 			}
-			dd := d
-			if t.D < dd {
-				dd = t.D
-			}
-			if dd <= 0 {
-				continue
-			}
-			// Full slice expression: each extension owns fresh storage, so
-			// sibling iterations cannot clobber one another.
-			next := append(vals[:len(vals):len(vals)], t.Values...)
-			if err := rec(i+1, next, dd); err != nil {
-				return err
+			for _, t := range b {
+				dd := d
+				if t.D < dd {
+					dd = t.D
+				}
+				if dd <= 0 {
+					continue
+				}
+				// Full slice expression: each extension owns fresh storage,
+				// so sibling iterations cannot clobber one another.
+				next := append(vals[:len(vals):len(vals)], t.Values...)
+				if err := rec(i+1, next, dd); err != nil {
+					return err
+				}
 			}
 		}
 		return it.Err()
@@ -448,7 +450,7 @@ func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having [
 			}
 		}
 	}
-	rel, err := e.collect(src)
+	rel, err := exec.Collect(src)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ import (
 // workloads sort the same base relations on the same attributes query
 // after query. The environment therefore caches, per (base relation,
 // attribute, order), the sorted permutation together with the flat
-// support-interval key column the batched merge-join window reads, and
+// support-interval key column the merge-join reads, and
 // reuses it as long as the base relation has not been mutated.
 //
 // Keying and invalidation contract:

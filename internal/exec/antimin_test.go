@@ -56,6 +56,41 @@ func TestMergeAntiMinMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestNLAntiMinMatchesBruteForce checks the nested-loop anti-join (every
+// outer tuple against the whole materialized inner) against the all-pairs
+// reference, over outer inputs spanning several batches, and its work
+// counters: one degree evaluation per pair examined.
+func TestNLAntiMinMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, n := range []int{30, 2500} {
+		r := randomRel("R", n, 40, 3, rng)
+		s := randomRel("S", 40, 40, 3, rng)
+		want := bruteNotIn(r, s)
+		ri, _ := r.Schema.Resolve("X")
+		si, _ := s.Schema.Resolve("X")
+		penalty := func(l, m frel.Tuple) float64 {
+			return 1 - fuzzy.Min(m.D, fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num))
+		}
+		var c Counters
+		op := NewNLAntiMin(NewMemSource(r), s.Tuples, penalty, &c)
+		op.Stats = NewOpStats("nl-anti-join", "")
+		got := drain(t, op)
+		if !got.Equal(want, 0) {
+			t.Fatalf("n=%d: anti-min mismatch: got %d tuples, want %d", n, got.Len(), want.Len())
+		}
+		evals := c.DegreeEvals.Load()
+		if evals == 0 || evals > int64(r.Len()*s.Len()) {
+			t.Errorf("n=%d: DegreeEvals %d outside (0, %d]", n, evals, r.Len()*s.Len())
+		}
+		if c.TuplesOut.Load() != int64(got.Len()) {
+			t.Errorf("n=%d: TuplesOut %d, want %d", n, c.TuplesOut.Load(), got.Len())
+		}
+		if snap := op.Stats.Snapshot(); snap.Comparisons != evals || snap.DegreeEvals != evals {
+			t.Errorf("n=%d: stats cmp/deg %d/%d, want %d/%d", n, snap.Comparisons, snap.DegreeEvals, evals, evals)
+		}
+	}
+}
+
 func TestMergeAntiMinEmptyInner(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	r := randomRel("R", 10, 40, 2, rng)

@@ -37,13 +37,15 @@ func TestBandMergeJoinMatchesBruteForce(t *testing.T) {
 		s := randomRel("S", 40, 50, 3, rng)
 		for _, tol := range tols {
 			want := bruteBandJoin(r, s, tol)
-			mj, err := NewBandMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", tol, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := drain(t, mj)
-			if !got.Equal(want, 1e-12) {
-				t.Fatalf("trial %d tol %v: band join mismatch: got %d, want %d", trial, tol, got.Len(), want.Len())
+			for _, workers := range []int{1, 4} {
+				mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", tol, nil, nil, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := drain(t, mj)
+				if !got.Equal(want, 0) {
+					t.Fatalf("trial %d tol %v workers %d: band join mismatch: got %d, want %d", trial, tol, workers, got.Len(), want.Len())
+				}
 			}
 		}
 	}
@@ -60,7 +62,7 @@ func TestBandMergeJoinCrispBand(t *testing.T) {
 	// Band 5: each r matches exactly the s shifted by +4 (and the one 6
 	// below? i*10 vs (i-1)*10+4 = i*10-6: |diff| = 6 > 5, no).
 	band := fuzzy.Interval(-5, 5)
-	mj, err := NewBandMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", band, nil, nil)
+	mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", band, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,20 +79,20 @@ func TestBandMergeJoinCrispBand(t *testing.T) {
 
 func TestBandMergeJoinInvalidTolerance(t *testing.T) {
 	r := frel.NewRelation(xSchema("R"))
-	if _, err := NewBandMergeJoin(NewMemSource(r), NewMemSource(r.Clone()), "X", "X",
-		fuzzy.Trapezoid{A: 2, B: 1, C: 0, D: -1}, nil, nil); err == nil {
+	if _, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(r.Clone()), "X", "X",
+		fuzzy.Trapezoid{A: 2, B: 1, C: 0, D: -1}, nil, nil, 1); err == nil {
 		t.Errorf("invalid tolerance: want error")
 	}
 }
 
-// TestBandMergeJoinWidensOnlyWindow: the tolerance must not break the
+// TestBandMergeJoinSinglePass: the tolerance must not break the
 // single-pass property — the inner side is still consumed once.
 func TestBandMergeJoinSinglePass(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	r := randomRel("R", 200, 2000, 1, rng)
 	s := randomRel("S", 200, 2000, 1, rng)
 	inner := &countingSource{Source: sortedSource(t, s, "X")}
-	mj, err := NewBandMergeJoin(sortedSource(t, r, "X"), inner, "R.X", "S.X", fuzzy.Tolerance(0, 50), nil, nil)
+	mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), inner, "R.X", "S.X", fuzzy.Tolerance(0, 50), nil, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // out (the reuse contract says batches die at the next NextBatch call).
 func batchDrain(t testing.TB, src Source) []frel.Tuple {
 	t.Helper()
-	it, err := OpenBatches(src)
+	it, err := src.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,38 +32,16 @@ func batchDrain(t testing.TB, src Source) []frel.Tuple {
 	return out
 }
 
-// tupleDrain drains src strictly tuple-at-a-time.
-func tupleDrain(t testing.TB, src Source) []frel.Tuple {
-	t.Helper()
-	it, err := src.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var out []frel.Tuple
-	for {
-		tup, ok := it.Next()
-		if !ok {
-			break
-		}
-		out = append(out, tup)
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // sameSequence requires the two drains to agree tuple for tuple, in
 // order, values and degrees both.
 func sameSequence(t *testing.T, name string, got, want []frel.Tuple) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: batch drain produced %d tuples, tuple drain %d", name, len(got), len(want))
+		t.Fatalf("%s: got %d tuples, want %d", name, len(got), len(want))
 	}
 	for i := range got {
 		if got[i].Key() != want[i].Key() || got[i].D != want[i].D {
-			t.Fatalf("%s: tuple %d differs: batch %v (d=%g) vs tuple %v (d=%g)",
+			t.Fatalf("%s: tuple %d differs: got %v (d=%g), want %v (d=%g)",
 				name, i, got[i].Values, got[i].D, want[i].Values, want[i].D)
 		}
 	}
@@ -71,66 +49,39 @@ func sameSequence(t *testing.T, name string, got, want []frel.Tuple) {
 
 // sameCounters requires the two executions to have recorded identical
 // work counters.
-func sameCounters(t *testing.T, name string, batch, tuple *Counters) {
+func sameCounters(t *testing.T, name string, got, want *Counters) {
 	t.Helper()
-	if b, w := batch.Comparisons.Load(), tuple.Comparisons.Load(); b != w {
-		t.Errorf("%s: Comparisons %d (batch) vs %d (tuple)", name, b, w)
+	if g, w := got.Comparisons.Load(), want.Comparisons.Load(); g != w {
+		t.Errorf("%s: Comparisons %d, want %d", name, g, w)
 	}
-	if b, w := batch.DegreeEvals.Load(), tuple.DegreeEvals.Load(); b != w {
-		t.Errorf("%s: DegreeEvals %d (batch) vs %d (tuple)", name, b, w)
+	if g, w := got.DegreeEvals.Load(), want.DegreeEvals.Load(); g != w {
+		t.Errorf("%s: DegreeEvals %d, want %d", name, g, w)
 	}
-	if b, w := batch.TuplesOut.Load(), tuple.TuplesOut.Load(); b != w {
-		t.Errorf("%s: TuplesOut %d (batch) vs %d (tuple)", name, b, w)
+	if g, w := got.TuplesOut.Load(), want.TuplesOut.Load(); g != w {
+		t.Errorf("%s: TuplesOut %d, want %d", name, g, w)
 	}
 }
 
 // sameStats requires identical OpStats contents (the EXPLAIN ANALYZE
-// contract: batching must not change any reported counter).
-func sameStats(t *testing.T, name string, batch, tuple *OpStats) {
+// contract: scheduling must not change any reported counter).
+func sameStats(t *testing.T, name string, got, want *OpStats) {
 	t.Helper()
-	b, w := batch.Snapshot(), tuple.Snapshot()
-	if b.Comparisons != w.Comparisons || b.DegreeEvals != w.DegreeEvals {
-		t.Errorf("%s: stats cmp/deg %d/%d (batch) vs %d/%d (tuple)",
-			name, b.Comparisons, b.DegreeEvals, w.Comparisons, w.DegreeEvals)
+	g, w := got.Snapshot(), want.Snapshot()
+	if g.Comparisons != w.Comparisons || g.DegreeEvals != w.DegreeEvals {
+		t.Errorf("%s: stats cmp/deg %d/%d, want %d/%d",
+			name, g.Comparisons, g.DegreeEvals, w.Comparisons, w.DegreeEvals)
 	}
-	if b.RngCount != w.RngCount || b.RngMin != w.RngMin || b.RngMax != w.RngMax ||
-		b.RngAvg != w.RngAvg {
-		t.Errorf("%s: stats Rng n=%d min=%d max=%d avg=%g (batch) vs n=%d min=%d max=%d avg=%g (tuple)",
-			name, b.RngCount, b.RngMin, b.RngMax, b.RngAvg, w.RngCount, w.RngMin, w.RngMax, w.RngAvg)
-	}
-}
-
-// TestBatchMergeJoinMatchesTuple cross-checks the batched merge-join
-// (crisp-equality and band forms) against the tuple-at-a-time operator on
-// random inputs: same output sequence, same counters, same stats.
-func TestBatchMergeJoinMatchesTuple(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	tols := []fuzzy.Trapezoid{fuzzy.Crisp(0), fuzzy.Tri(-3, 0, 3), fuzzy.Trap(-5, -2, 2, 5)}
-	for trial := 0; trial < 15; trial++ {
-		r := randomRel("R", 50+rng.Intn(80), 60, 6, rng)
-		s := randomRel("S", 50+rng.Intn(80), 60, 6, rng)
-		tol := tols[trial%len(tols)]
-		build := func(c *Counters, st *OpStats) *MergeJoin {
-			mj, err := NewBandMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-				"R.X", "S.X", tol, nil, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mj.Stats = st
-			return mj
-		}
-		var cb, ct Counters
-		sb, st := NewOpStats("merge-join", ""), NewOpStats("merge-join", "")
-		got := batchDrain(t, build(&cb, sb))
-		want := tupleDrain(t, build(&ct, st))
-		sameSequence(t, "merge-join", got, want)
-		sameCounters(t, "merge-join", &cb, &ct)
-		sameStats(t, "merge-join", sb, st)
+	if g.RngCount != w.RngCount || g.RngMin != w.RngMin || g.RngMax != w.RngMax ||
+		g.RngAvg != w.RngAvg {
+		t.Errorf("%s: stats Rng n=%d min=%d max=%d avg=%g, want n=%d min=%d max=%d avg=%g",
+			name, g.RngCount, g.RngMin, g.RngMax, g.RngAvg, w.RngCount, w.RngMin, w.RngMax, w.RngAvg)
 	}
 }
 
-// TestBatchMergeJoinExtraPredicate covers the extra-conjunct arm (degree
-// evaluations for the extra predicate are charged identically).
+// TestBatchMergeJoinExtraPredicate covers the interpreted residual arm of
+// the merge-join: the answer equals the all-pairs join with the residual
+// degree folded in, at every worker count, and the residual is charged
+// one degree evaluation per pair it runs on.
 func TestBatchMergeJoinExtraPredicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	r := randomRel("R", 90, 40, 4, rng)
@@ -141,125 +92,29 @@ func TestBatchMergeJoinExtraPredicate(t *testing.T) {
 		}
 		return 0
 	}
-	build := func(c *Counters, st *OpStats) *MergeJoin {
-		mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-			"R.X", "S.X", extra, c)
-		if err != nil {
-			t.Fatal(err)
+	want := frel.NewRelation(r.Schema.Join(s.Schema))
+	var pairs int64
+	for _, l := range bruteJoin(r, s).Tuples {
+		pairs++
+		if g := extra(l, frel.Tuple{Values: l.Values[len(r.Schema.Attrs):]}); g < l.D {
+			l.D = g
 		}
-		mj.Stats = st
-		return mj
-	}
-	var cb, ct Counters
-	sb, st := NewOpStats("merge-join", ""), NewOpStats("merge-join", "")
-	sameSequence(t, "merge-join extra", batchDrain(t, build(&cb, sb)), tupleDrain(t, build(&ct, st)))
-	sameCounters(t, "merge-join extra", &cb, &ct)
-	sameStats(t, "merge-join extra", sb, st)
-}
-
-// TestBatchMergeAntiMinMatchesTuple cross-checks the batched merge
-// anti-join.
-func TestBatchMergeAntiMinMatchesTuple(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	penalty := func(l, m frel.Tuple) float64 {
-		return 1 - fuzzy.Eq(l.Values[1].Num, m.Values[1].Num)
-	}
-	for trial := 0; trial < 10; trial++ {
-		r := randomRel("R", 60, 50, 5, rng)
-		s := randomRel("S", 60, 50, 5, rng)
-		build := func(c *Counters, st *OpStats) *MergeAntiMin {
-			am, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-				"R.X", "S.X", penalty, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			am.Stats = st
-			return am
-		}
-		var cb, ct Counters
-		sb, st := NewOpStats("merge-anti-join", ""), NewOpStats("merge-anti-join", "")
-		sameSequence(t, "anti-min", batchDrain(t, build(&cb, sb)), tupleDrain(t, build(&ct, st)))
-		sameCounters(t, "anti-min", &cb, &ct)
-		sameStats(t, "anti-min", sb, st)
-	}
-}
-
-// TestBatchGroupAggJoinMatchesTuple cross-checks the batched sorted
-// group-aggregate join for every aggregate and comparison operator.
-func TestBatchGroupAggJoinMatchesTuple(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	aggs := []fuzzy.AggFunc{fuzzy.AggCount, fuzzy.AggSum, fuzzy.AggAvg, fuzzy.AggMin, fuzzy.AggMax}
-	for trial := 0; trial < 6; trial++ {
-		r, s := randomCorrelated(rng, 30, 45)
-		for _, agg := range aggs {
-			for _, op2 := range []fuzzy.Op{fuzzy.OpEq, fuzzy.OpGt} {
-				build := func(c *Counters, st *OpStats) *GroupAggJoin {
-					j, err := NewGroupAggJoin(
-						totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
-						"R.U", "S.V", op2, "S.Z", agg, "R.Y", fuzzy.OpGt, c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					j.Stats = st
-					return j
-				}
-				var cb, ct Counters
-				sb, st := NewOpStats("group-agg-join", ""), NewOpStats("group-agg-join", "")
-				sameSequence(t, "group-agg", batchDrain(t, build(&cb, sb)), tupleDrain(t, build(&ct, st)))
-				sameCounters(t, "group-agg", &cb, &ct)
-				sameStats(t, "group-agg", sb, st)
-			}
+		if l.D > 0 {
+			want.Append(l)
 		}
 	}
-}
-
-// TestBatchParallelMergeJoinMatchesTuple cross-checks the batched
-// partitioned merge-join: the batch path partitions on the precomputed
-// key columns, the tuple path on Support() calls — cut points and
-// therefore results and stats must be identical.
-func TestBatchParallelMergeJoinMatchesTuple(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, workers := range []int{2, 4} {
-		r := randomRel("R", 300, 200, 4, rng)
-		s := randomRel("S", 300, 200, 4, rng)
-		build := func(c *Counters, st *OpStats) *ParallelMergeJoin {
-			pj, err := NewParallelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-				"R.X", "S.X", fuzzy.Crisp(0), nil, c, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pj.Stats = st
-			return pj
+	for _, workers := range []int{1, 4} {
+		var c Counters
+		got := drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", extra, &c, workers))
+		if !got.Equal(want, 0) {
+			t.Fatalf("workers %d: got %d tuples, want %d", workers, got.Len(), want.Len())
 		}
-		var cb, ct Counters
-		sb, st := NewOpStats("merge-join", ""), NewOpStats("merge-join", "")
-		got := batchDrain(t, build(&cb, sb))
-		want := tupleDrain(t, build(&ct, st))
-		// Partitions may emit in any worker-completion order in the tuple
-		// path; both paths emit partitions in order, so sequences match.
-		sameSequence(t, "parallel merge-join", got, want)
-		sameStats(t, "parallel merge-join", sb, st)
-	}
-}
-
-// TestBatchScanFilterProjectMatchesTuple covers the scan, filter,
-// threshold and projection operators as one pipeline.
-func TestBatchScanFilterProjectMatchesTuple(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	r := randomRel("R", 2500, 100, 5, rng) // > 2 batches
-	for _, dedup := range []bool{false, true} {
-		build := func() Source {
-			f := NewFilter(NewMemSource(r), func(tp frel.Tuple) float64 {
-				return fuzzy.Degree(fuzzy.OpGt, tp.Values[1].Num, fuzzy.Crisp(30))
-			})
-			th := NewThreshold(f, 0.25)
-			p, err := NewProject(th, []string{"R.X"}, dedup)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
+		if c.TuplesOut.Load() != int64(want.Len()) {
+			t.Errorf("workers %d: TuplesOut %d, want %d", workers, c.TuplesOut.Load(), want.Len())
 		}
-		sameSequence(t, "scan-filter-project", batchDrain(t, build()), tupleDrain(t, build()))
+		if c.DegreeEvals.Load() < pairs {
+			t.Errorf("workers %d: DegreeEvals %d below the %d joining pairs", workers, c.DegreeEvals.Load(), pairs)
+		}
 	}
 }
 
@@ -271,7 +126,7 @@ func TestBatchKeyedSourceServesKeys(t *testing.T) {
 	r := randomRel("R", 2600, 100, 5, rng)
 	xi, _ := r.Schema.Resolve("X")
 	keys := frel.SupportKeys(r.Tuples, xi)
-	it, err := NewKeyedMemSource(r, keys).OpenBatch()
+	it, err := NewKeyedMemSource(r, keys).Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,12 +159,12 @@ func TestBatchKeyedSourceServesKeys(t *testing.T) {
 }
 
 // joinPipeline builds the scan -> filter -> merge-join pipeline the
-// allocation tests and BenchmarkBatchVsTuple measure.
+// allocation test measures.
 func joinPipeline(t testing.TB, r, s *frel.Relation) Source {
 	t.Helper()
 	pred := func(tp frel.Tuple) float64 { return 1 }
-	mj, err := NewMergeJoin(NewFilter(NewMemSource(r), pred), NewFilter(NewMemSource(s), pred),
-		"R.X", "S.X", nil, nil)
+	mj, err := NewKernelMergeJoin(NewFilter(NewMemSource(r), pred), NewFilter(NewMemSource(s), pred),
+		"R.X", "S.X", fuzzy.Crisp(0), nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,21 +174,6 @@ func joinPipeline(t testing.TB, r, s *frel.Relation) Source {
 		t.Fatal(err)
 	}
 	return proj
-}
-
-// TestBatchProjectedJoinMatchesTuple checks the projection-pushdown path:
-// a plain projection directly over a merge join fuses into the join's
-// emit, and its batched output must match the tuple engine's
-// join-then-project sequence exactly.
-func TestBatchProjectedJoinMatchesTuple(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 10; trial++ {
-		r := sortedRel(t, randomRel("R", 300+rng.Intn(200), 800, 4, rng), "X")
-		s := sortedRel(t, randomRel("S", 300+rng.Intn(200), 800, 4, rng), "X")
-		got := batchDrain(t, joinPipeline(t, r, s))
-		want := tupleDrain(t, joinPipeline(t, r, s))
-		sameSequence(t, "projected join", got, want)
-	}
 }
 
 // sortedRel returns a sorted clone (sorting once up front keeps the
@@ -362,7 +202,7 @@ func TestBatchPipelineAllocs(t *testing.T) {
 
 	var rows int
 	allocs := testing.AllocsPerRun(5, func() {
-		it, err := OpenBatches(joinPipeline(t, r, s))
+		it, err := joinPipeline(t, r, s).Open()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +220,7 @@ func TestBatchPipelineAllocs(t *testing.T) {
 		t.Fatal("pipeline produced no tuples")
 	}
 	perTuple := allocs / float64(rows)
-	// One output arena + one output batch per BatchSize tuples plus
+	// Input materialization and geometrically grown output arenas plus
 	// fixed setup; 0.1 allocs/tuple is an order of magnitude of headroom.
 	if perTuple > 0.1 {
 		t.Errorf("batched pipeline allocates %.3f allocs/tuple (%.0f allocs for %d tuples), want <= 0.1",
@@ -388,88 +228,18 @@ func TestBatchPipelineAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchVsTuple measures the same merge-join pipeline under both
-// engines; the batch mode's acceptance bar is >= 1.5x throughput and
-// >= 5x fewer allocations per operation.
-func BenchmarkBatchVsTuple(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	r := sortedRel(b, randomRel("R", 20000, 15000, 2, rng), "X")
-	s := sortedRel(b, randomRel("S", 20000, 15000, 2, rng), "X")
-
-	b.Run("tuple", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			it, err := joinPipeline(b, r, s).Open()
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := 0
-			for {
-				_, ok := it.Next()
-				if !ok {
-					break
-				}
-				n++
-			}
-			it.Close()
-			if n == 0 {
-				b.Fatal("no output")
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			it, err := OpenBatches(joinPipeline(b, r, s))
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := 0
-			for {
-				bt, ok := it.NextBatch()
-				if !ok {
-					break
-				}
-				n += len(bt)
-			}
-			it.Close()
-			if n == 0 {
-				b.Fatal("no output")
-			}
-		}
-	})
-}
-
-// tupleOnlySource hides a source's OpenBatch so OpenBatches must fall
-// back to the re-batching adapter shim.
-type tupleOnlySource struct{ src Source }
-
-func (s tupleOnlySource) Schema() *frel.Schema    { return s.src.Schema() }
-func (s tupleOnlySource) Open() (Iterator, error) { return s.src.Open() }
-
-// TestBatchAdapterShim checks that a tuple-only source still serves
-// batches through the adapter, identically to its tuple scan.
-func TestBatchAdapterShim(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	r := randomRel("R", 2500, 1000, 2, rng)
-	got := batchDrain(t, tupleOnlySource{src: NewMemSource(r)})
-	want := tupleDrain(t, NewMemSource(r))
-	sameSequence(t, "adapter shim", got, want)
-}
-
-// TestBatchHeapSourceAndSpill round-trips a relation through SpillBatched
-// and the batched heap scan: mem -> heap file -> batches must preserve
-// the tuple sequence.
+// TestBatchHeapSourceAndSpill round-trips a relation through Spill and the
+// batched heap scan: mem -> heap file -> batches must preserve the tuple
+// sequence.
 func TestBatchHeapSourceAndSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	r := randomRel("R", 3000, 1000, 2, rng)
 	mgr := storage.NewManager(t.TempDir(), 8)
-	h, err := SpillBatched(mgr, NewMemSource(r))
+	h, err := Spill(mgr, NewMemSource(r))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Drop()
 	got := batchDrain(t, NewHeapSource(h))
-	want := tupleDrain(t, NewMemSource(r))
-	sameSequence(t, "heap batches", got, want)
+	sameSequence(t, "heap batches", got, r.Tuples)
 }

@@ -52,40 +52,62 @@ func NewFilter(src Source, pred Pred) *Filter { return &Filter{Src: src, Pred: p
 // Schema implements Source.
 func (f *Filter) Schema() *frel.Schema { return f.Src.Schema() }
 
-// Open implements Source.
-func (f *Filter) Open() (Iterator, error) {
-	it, err := f.Src.Open()
+// Open implements Source: selection filters each input batch into a
+// reused output buffer.
+func (f *Filter) Open() (BatchIterator, error) {
+	in, err := f.Src.Open()
 	if err != nil {
 		return nil, err
 	}
-	return &filterIterator{in: it, pred: f.Pred}, nil
+	return &filterBatchIterator{in: in, pred: f.Pred}, nil
 }
 
-type filterIterator struct {
-	in   Iterator
+type filterBatchIterator struct {
+	in   BatchIterator
 	pred Pred
+	out  []frel.Tuple
 }
 
-func (it *filterIterator) Next() (frel.Tuple, bool) {
+func (it *filterBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	for {
-		t, ok := it.in.Next()
+		b, ok := it.in.NextBatch()
 		if !ok {
-			return frel.Tuple{}, false
+			return nil, false
 		}
-		d := t.D
-		if g := it.pred(t); g < d {
-			d = g
+		// Pass-through fast path: while the predicate neither drops nor
+		// re-grades tuples, serve the producer's batch as-is (no copy).
+		// The predicate runs exactly once per tuple either way (predicates
+		// may carry counters).
+		copying := false
+		for i, t := range b {
+			d := t.D
+			if g := it.pred(t); g < d {
+				d = g
+			}
+			if !copying {
+				if d == t.D && d > 0 {
+					continue
+				}
+				copying = true
+				it.out = append(it.out[:0], b[:i]...)
+			}
+			if d <= 0 {
+				continue
+			}
+			t.D = d
+			it.out = append(it.out, t)
 		}
-		if d <= 0 {
-			continue
+		if !copying {
+			return b, true
 		}
-		t.D = d
-		return t, true
+		if len(it.out) > 0 {
+			return it.out, true
+		}
 	}
 }
 
-func (it *filterIterator) Err() error { return it.in.Err() }
-func (it *filterIterator) Close()     { it.in.Close() }
+func (it *filterBatchIterator) Err() error { return it.in.Err() }
+func (it *filterBatchIterator) Close()     { it.in.Close() }
 
 // Project projects tuples onto a subset of attributes and, when Dedup is
 // set, eliminates duplicates keeping the maximum membership degree (fuzzy
@@ -112,56 +134,90 @@ func NewProject(src Source, refs []string, dedup bool) (*Project, error) {
 // Schema implements Source.
 func (p *Project) Schema() *frel.Schema { return p.schema }
 
-// Open implements Source.
-func (p *Project) Open() (Iterator, error) {
-	it, err := p.Src.Open()
+// Open implements Source. The non-dedup projection writes the projected
+// values of each batch into one fresh arena (a single allocation per
+// batch instead of one per tuple); the dedup form materializes the
+// distinct tuples and replays them.
+func (p *Project) Open() (BatchIterator, error) {
+	// Projection pushdown: a projection directly over a merge join
+	// materializes only the projected values in the join's emit arena,
+	// skipping the full concatenated row. The dedup form additionally
+	// deduplicates the join's already-projected rows in place of the
+	// per-tuple Project allocation. Wrapped joins (e.g. under an EXPLAIN
+	// ANALYZE stats shim) are left alone so per-node row counts stay
+	// observable.
+	kj, projected := p.Src.(*KernelMergeJoin)
+	var in BatchIterator
+	var err error
+	if projected {
+		in, err = kj.openProjected(p.idx)
+	} else {
+		in, err = p.Src.Open()
+	}
 	if err != nil {
 		return nil, err
 	}
 	if !p.Dedup {
-		return &projectIterator{in: it, idx: p.idx}, nil
+		if projected {
+			return in, nil
+		}
+		return &projectBatchIterator{in: in, idx: p.idx}, nil
 	}
-	// Materialize with max-degree dedup, then emit.
-	defer it.Close()
+	defer in.Close()
 	rel := frel.NewRelation(p.schema)
 	seen := make(map[string]int)
 	for {
-		t, ok := it.Next()
+		b, ok := in.NextBatch()
 		if !ok {
 			break
 		}
-		pt := t.Project(p.idx)
-		k := pt.Key()
-		if i, ok := seen[k]; ok {
-			if pt.D > rel.Tuples[i].D {
-				rel.Tuples[i].D = pt.D
+		for _, t := range b {
+			pt := t
+			if !projected {
+				pt = t.Project(p.idx)
 			}
-			continue
+			k := pt.Key()
+			if i, ok := seen[k]; ok {
+				if pt.D > rel.Tuples[i].D {
+					rel.Tuples[i].D = pt.D
+				}
+				continue
+			}
+			seen[k] = rel.Len()
+			rel.Append(pt)
 		}
-		seen[k] = rel.Len()
-		rel.Append(pt)
 	}
-	if err := it.Err(); err != nil {
+	if err := in.Err(); err != nil {
 		return nil, err
 	}
-	return &memIterator{tuples: rel.Tuples}, nil
+	return &memBatchIterator{tuples: rel.Tuples}, nil
 }
 
-type projectIterator struct {
-	in  Iterator
+type projectBatchIterator struct {
+	in  BatchIterator
 	idx []int
+	out []frel.Tuple
 }
 
-func (it *projectIterator) Next() (frel.Tuple, bool) {
-	t, ok := it.in.Next()
+func (it *projectBatchIterator) NextBatch() ([]frel.Tuple, bool) {
+	b, ok := it.in.NextBatch()
 	if !ok {
-		return frel.Tuple{}, false
+		return nil, false
 	}
-	return t.Project(it.idx), true
+	it.out = it.out[:0]
+	arena := make([]frel.Value, 0, len(b)*len(it.idx))
+	for _, t := range b {
+		off := len(arena)
+		for _, i := range it.idx {
+			arena = append(arena, t.Values[i])
+		}
+		it.out = append(it.out, frel.Tuple{Values: arena[off:len(arena):len(arena)], D: t.D})
+	}
+	return it.out, true
 }
 
-func (it *projectIterator) Err() error { return it.in.Err() }
-func (it *projectIterator) Close()     { it.in.Close() }
+func (it *projectBatchIterator) Err() error { return it.in.Err() }
+func (it *projectBatchIterator) Close()     { it.in.Close() }
 
 // Threshold drops tuples whose degree is below z (and always those with
 // degree 0) — the WITH D >= z clause.
@@ -177,34 +233,53 @@ func NewThreshold(src Source, z float64) *Threshold { return &Threshold{Src: src
 func (th *Threshold) Schema() *frel.Schema { return th.Src.Schema() }
 
 // Open implements Source.
-func (th *Threshold) Open() (Iterator, error) {
-	it, err := th.Src.Open()
+func (th *Threshold) Open() (BatchIterator, error) {
+	in, err := th.Src.Open()
 	if err != nil {
 		return nil, err
 	}
-	return &thresholdIterator{in: it, z: th.Z}, nil
+	return &thresholdBatchIterator{in: in, z: th.Z}, nil
 }
 
-type thresholdIterator struct {
-	in Iterator
-	z  float64
+type thresholdBatchIterator struct {
+	in  BatchIterator
+	z   float64
+	out []frel.Tuple
 }
 
-func (it *thresholdIterator) Next() (frel.Tuple, bool) {
+func (it *thresholdBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	for {
-		t, ok := it.in.Next()
+		b, ok := it.in.NextBatch()
 		if !ok {
-			return frel.Tuple{}, false
+			return nil, false
 		}
-		if t.D <= 0 || t.D < it.z {
-			continue
+		// Pass-through fast path: a batch with nothing to drop is served
+		// as-is (no copy).
+		i := 0
+		for ; i < len(b); i++ {
+			if b[i].D <= 0 || b[i].D < it.z {
+				break
+			}
 		}
-		return t, true
+		if i == len(b) {
+			return b, true
+		}
+		it.out = append(it.out[:0], b[:i]...)
+		for ; i < len(b); i++ {
+			t := b[i]
+			if t.D <= 0 || t.D < it.z {
+				continue
+			}
+			it.out = append(it.out, t)
+		}
+		if len(it.out) > 0 {
+			return it.out, true
+		}
 	}
 }
 
-func (it *thresholdIterator) Err() error { return it.in.Err() }
-func (it *thresholdIterator) Close()     { it.in.Close() }
+func (it *thresholdBatchIterator) Err() error { return it.in.Err() }
+func (it *thresholdBatchIterator) Close()     { it.in.Close() }
 
 // RefDegree builds a Pred computing d(attr op value) for a fixed
 // right-hand value.
@@ -224,8 +299,8 @@ type OpFunc func(frel.Value) float64
 // configuration errors lazily.
 type errSource struct{ err error }
 
-func (e errSource) Schema() *frel.Schema    { return &frel.Schema{} }
-func (e errSource) Open() (Iterator, error) { return nil, e.err }
+func (e errSource) Schema() *frel.Schema         { return &frel.Schema{} }
+func (e errSource) Open() (BatchIterator, error) { return nil, e.err }
 
 // Errf builds a Source that fails with a formatted error.
 func Errf(format string, args ...interface{}) Source {

@@ -43,8 +43,8 @@ type GroupAggJoin struct {
 	Counters *Counters
 
 	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
-	// measures (see MergeJoin.Stats for the counting conventions); the
-	// Rng observations are the per-group candidate scan lengths.
+	// measures (see KernelMergeJoin.Stats for the counting conventions);
+	// the Rng observations are the per-group candidate scan lengths.
 	Stats *OpStats
 
 	ui, vi, zi, yi int
@@ -88,19 +88,19 @@ func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, i
 func (j *GroupAggJoin) Schema() *frel.Schema { return j.Outer.Schema() }
 
 // Open implements Source.
-func (j *GroupAggJoin) Open() (Iterator, error) {
+func (j *GroupAggJoin) Open() (BatchIterator, error) {
 	outerIt, err := j.Outer.Open()
 	if err != nil {
 		return nil, err
 	}
-	it := &groupAggIterator{j: j, outer: outerIt}
+	it := &groupAggBatchIterator{j: j, outer: outerIt, loc: newBatchLocals()}
 	if j.Op2 == fuzzy.OpEq {
 		innerIt, err := j.Inner.Open()
 		if err != nil {
 			outerIt.Close()
 			return nil, err
 		}
-		it.win = newWindow(innerIt, j.vi, j.Counters)
+		it.win = newBatchWindow(innerIt, j.vi)
 	} else {
 		// Non-equality correlation: materialize the inner once.
 		rel, err := Collect(j.Inner)
@@ -113,12 +113,15 @@ func (j *GroupAggJoin) Open() (Iterator, error) {
 	return it, nil
 }
 
-type groupAggIterator struct {
+type groupAggBatchIterator struct {
 	j     *GroupAggJoin
-	outer Iterator
+	outer BatchIterator
 
-	win      *window      // Op2 == OpEq path
-	innerAll []frel.Tuple // other correlation operators
+	win      *batchWindow
+	innerAll []frel.Tuple
+
+	obatch []frel.Tuple
+	opos   int
 
 	haveGroup bool
 	groupVal  frel.Value
@@ -127,15 +130,148 @@ type groupAggIterator struct {
 
 	prevBegin float64
 	seenAny   bool
-	err       error
+
+	out []frel.Tuple
+	loc batchLocals
+
+	err  error
+	done bool
+}
+
+// computeGroup builds T′(u) and its aggregate for the given outer value.
+func (it *groupAggBatchIterator) computeGroup(u frel.Value) {
+	j := it.j
+	set := newMemberSet()
+	var rng int64
+	acc := func(s frel.Tuple) {
+		rng++
+		it.loc.stCmp++
+		it.loc.stDeg++
+		it.loc.deg++
+		sv := s.Values[j.vi]
+		d := frel.Degree(j.Op2, sv, u)
+		if s.D < d {
+			d = s.D
+		}
+		if d <= 0 {
+			return
+		}
+		set.add(s.Values[j.zi], d)
+	}
+	if it.win != nil {
+		uLo, uHi := u.Num.Support()
+		it.win.advance(uLo)
+		it.win.extend(uHi)
+		if it.win.err != nil {
+			it.err = it.win.err
+			return
+		}
+		active := it.win.active()
+		for i := range active {
+			e := &active[i]
+			it.loc.cmp++
+			if !(uLo <= e.hi && e.lo <= uHi) {
+				continue // dangling tuple in the range
+			}
+			acc(e.t)
+		}
+	} else {
+		for _, s := range it.innerAll {
+			it.loc.cmp++
+			acc(s)
+		}
+	}
+	it.loc.observeRng(rng)
+	if j.Agg == fuzzy.AggCount {
+		// COUNT of an empty T′(u) is 0: comparing r.Y against Crisp(0) is
+		// exactly the ELSE arm of Query COUNT′'s IF-THEN-ELSE.
+		it.aggVal, it.aggOK = fuzzy.Crisp(float64(set.len())), true
+		return
+	}
+	it.aggVal, it.aggOK = fuzzy.Aggregate(j.Agg, set.members)
+}
+
+func (it *groupAggBatchIterator) NextBatch() ([]frel.Tuple, bool) {
+	if it.err != nil || it.done {
+		return nil, false
+	}
+	j := it.j
+	if it.out == nil {
+		it.out = make([]frel.Tuple, 0, BatchSize)
+	}
+	it.out = it.out[:0]
+	for len(it.out) < BatchSize {
+		for it.opos >= len(it.obatch) {
+			b, ok := it.outer.NextBatch()
+			if !ok {
+				if e := it.outer.Err(); e != nil {
+					it.err = e
+				}
+				it.done = true
+				return it.finish()
+			}
+			it.obatch, it.opos = b, 0
+		}
+		r := it.obatch[it.opos]
+		it.opos++
+		u := r.Values[j.ui]
+		if it.win != nil {
+			lo, _ := u.Num.Support()
+			if it.seenAny && lo < it.prevBegin {
+				it.err = fmt.Errorf("exec: group-aggregate join outer input is not sorted by the Definition 3.1 order")
+				return it.finish()
+			}
+			it.prevBegin, it.seenAny = lo, true
+		}
+		if !it.haveGroup || !it.groupVal.Identical(u) {
+			it.computeGroup(u)
+			if it.err != nil {
+				return it.finish()
+			}
+			it.groupVal = u
+			it.haveGroup = true
+		}
+		if !it.aggOK {
+			continue // A′(u) is NULL and the aggregate is not COUNT
+		}
+		it.loc.stDeg++
+		it.loc.deg++
+		d := fuzzy.Degree(j.Op1, r.Values[j.yi].Num, it.aggVal)
+		if r.D < d {
+			d = r.D
+		}
+		if d > 0 {
+			it.loc.tout++
+			r.D = d
+			it.out = append(it.out, r)
+		}
+	}
+	it.loc.flush(j.Counters, j.Stats)
+	return it.out, true
+}
+
+func (it *groupAggBatchIterator) finish() ([]frel.Tuple, bool) {
+	it.loc.flush(it.j.Counters, it.j.Stats)
+	if len(it.out) > 0 {
+		return it.out, true
+	}
+	return nil, false
+}
+
+func (it *groupAggBatchIterator) Err() error { return it.err }
+
+func (it *groupAggBatchIterator) Close() {
+	if it.win != nil {
+		it.win.close()
+	}
+	it.outer.Close()
 }
 
 // memberSet accumulates a fuzzy value set deduplicated by value identity,
 // keeping the maximum degree per value (Section 4's temporary-relation
-// rule), in first-seen order. Insertion order matters: fuzzy aggregates
-// sum floating-point values in set order, so building the set by map
-// iteration would make repeated evaluations of the same query differ in
-// the last bits of the result.
+// rule), in first-seen order, so the member list an aggregate receives is
+// deterministic (fuzzy.Aggregate itself sums SUM/AVG members in corner
+// order, whatever order they arrive in).
 type memberSet struct {
 	idx     map[string]int
 	members []fuzzy.Member
@@ -156,115 +292,6 @@ func (ms *memberSet) add(v frel.Value, mu float64) {
 }
 
 func (ms *memberSet) len() int { return len(ms.members) }
-
-// computeGroup builds T′(u) and its aggregate for the given outer value.
-func (it *groupAggIterator) computeGroup(u frel.Value) {
-	j := it.j
-	var candidates []frel.Tuple
-	if it.win != nil {
-		lo, hi := u.Num.Support()
-		it.win.advance(lo)
-		it.win.extend(hi)
-		if it.win.err != nil {
-			it.err = it.win.err
-			return
-		}
-		candidates = it.win.active()
-	} else {
-		candidates = it.innerAll
-	}
-	set := newMemberSet()
-	var rng int64
-	for _, s := range candidates {
-		j.Counters.Comparisons.Add(1)
-		sv := s.Values[j.vi]
-		if it.win != nil && !u.Num.Intersects(sv.Num) {
-			continue // dangling tuple in the range
-		}
-		rng++
-		if j.Stats != nil {
-			j.Stats.Comparisons.Add(1)
-			j.Stats.DegreeEvals.Add(1)
-		}
-		j.Counters.DegreeEvals.Add(1)
-		d := frel.Degree(j.Op2, sv, u)
-		if s.D < d {
-			d = s.D
-		}
-		if d <= 0 {
-			continue
-		}
-		set.add(s.Values[j.zi], d)
-	}
-	if j.Stats != nil {
-		j.Stats.ObserveRng(rng)
-	}
-	if j.Agg == fuzzy.AggCount {
-		// COUNT of an empty T′(u) is 0: comparing r.Y against Crisp(0) is
-		// exactly the ELSE arm of Query COUNT′'s IF-THEN-ELSE.
-		it.aggVal, it.aggOK = fuzzy.Crisp(float64(set.len())), true
-		return
-	}
-	it.aggVal, it.aggOK = fuzzy.Aggregate(j.Agg, set.members)
-}
-
-func (it *groupAggIterator) Next() (frel.Tuple, bool) {
-	for {
-		if it.err != nil {
-			return frel.Tuple{}, false
-		}
-		r, ok := it.outer.Next()
-		if !ok {
-			if e := it.outer.Err(); e != nil {
-				it.err = e
-			}
-			return frel.Tuple{}, false
-		}
-		u := r.Values[it.j.ui]
-		if it.win != nil {
-			lo, _ := u.Num.Support()
-			if it.seenAny && lo < it.prevBegin {
-				it.err = fmt.Errorf("exec: group-aggregate join outer input is not sorted by the Definition 3.1 order")
-				return frel.Tuple{}, false
-			}
-			it.prevBegin, it.seenAny = lo, true
-		}
-		if !it.haveGroup || !it.groupVal.Identical(u) {
-			it.computeGroup(u)
-			if it.err != nil {
-				return frel.Tuple{}, false
-			}
-			it.groupVal = u
-			it.haveGroup = true
-		}
-		if !it.aggOK {
-			continue // A′(u) is NULL and the aggregate is not COUNT
-		}
-		if st := it.j.Stats; st != nil {
-			st.DegreeEvals.Add(1)
-		}
-		it.j.Counters.DegreeEvals.Add(1)
-		d := fuzzy.Degree(it.j.Op1, r.Values[it.j.yi].Num, it.aggVal)
-		if r.D < d {
-			d = r.D
-		}
-		if d > 0 {
-			out := r
-			out.D = d
-			it.j.Counters.TuplesOut.Add(1)
-			return out, true
-		}
-	}
-}
-
-func (it *groupAggIterator) Err() error { return it.err }
-
-func (it *groupAggIterator) Close() {
-	if it.win != nil {
-		it.win.close()
-	}
-	it.outer.Close()
-}
 
 // AggItem is one aggregate column of a GroupAgg.
 type AggItem struct {
@@ -321,8 +348,8 @@ func NewGroupAgg(src Source, groupRefs []string, items []AggItem) (*GroupAgg, er
 // Schema implements Source.
 func (g *GroupAgg) Schema() *frel.Schema { return g.schema }
 
-// Open implements Source.
-func (g *GroupAgg) Open() (Iterator, error) {
+// Open implements Source: the groups are built eagerly and replayed.
+func (g *GroupAgg) Open() (BatchIterator, error) {
 	it, err := g.Src.Open()
 	if err != nil {
 		return nil, err
@@ -337,26 +364,28 @@ func (g *GroupAgg) Open() (Iterator, error) {
 	groups := make(map[string]*group)
 	var order []string
 	for {
-		t, ok := it.Next()
+		b, ok := it.NextBatch()
 		if !ok {
 			break
 		}
-		kt := t.Project(g.groupIdx)
-		k := kt.Key()
-		grp, ok := groups[k]
-		if !ok {
-			grp = &group{key: kt, members: make([]*memberSet, len(g.Items))}
-			for i := range grp.members {
-				grp.members[i] = newMemberSet()
+		for _, t := range b {
+			kt := t.Project(g.groupIdx)
+			k := kt.Key()
+			grp, ok := groups[k]
+			if !ok {
+				grp = &group{key: kt, members: make([]*memberSet, len(g.Items))}
+				for i := range grp.members {
+					grp.members[i] = newMemberSet()
+				}
+				groups[k] = grp
+				order = append(order, k)
 			}
-			groups[k] = grp
-			order = append(order, k)
-		}
-		if t.D > grp.degree {
-			grp.degree = t.D
-		}
-		for i, zi := range g.itemIdx {
-			grp.members[i].add(t.Values[zi], t.D)
+			if t.D > grp.degree {
+				grp.degree = t.D
+			}
+			for i, zi := range g.itemIdx {
+				grp.members[i].add(t.Values[zi], t.D)
+			}
 		}
 	}
 	if err := it.Err(); err != nil {
@@ -381,5 +410,5 @@ func (g *GroupAgg) Open() (Iterator, error) {
 		}
 		out = append(out, frel.Tuple{Values: vals, D: grp.degree})
 	}
-	return &memIterator{tuples: out}, nil
+	return &memBatchIterator{tuples: out}, nil
 }

@@ -50,6 +50,18 @@ func sortedSource(t *testing.T, r *frel.Relation, attr string) Source {
 	return NewMemSource(c)
 }
 
+// equiJoin builds the merge-join on exact fuzzy equality with an
+// optional interpreted residual predicate.
+func equiJoin(t *testing.T, outer, inner Source, outerAttr, innerAttr string, residual JoinPred, c *Counters, workers int) *KernelMergeJoin {
+	t.Helper()
+	mj, err := NewKernelMergeJoin(outer, inner, outerAttr, innerAttr, fuzzy.Crisp(0), nil, c, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mj.Residual = residual
+	return mj
+}
+
 // bruteJoin is the reference all-pairs fuzzy equi-join.
 func bruteJoin(r, s *frel.Relation) *frel.Relation {
 	out := frel.NewRelation(r.Schema.Join(s.Schema))
@@ -72,14 +84,11 @@ func TestMergeJoinMatchesBruteForce(t *testing.T) {
 		r := randomRel("R", 40, 50, 3, rng)
 		s := randomRel("S", 60, 50, 3, rng)
 		want := bruteJoin(r, s)
-
-		mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drain(t, mj)
-		if !got.Equal(want, 1e-12) {
-			t.Fatalf("trial %d: merge-join mismatch: got %d tuples, want %d", trial, got.Len(), want.Len())
+		for _, workers := range []int{1, 4} {
+			got := drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, nil, workers))
+			if !got.Equal(want, 0) {
+				t.Fatalf("trial %d workers %d: merge-join mismatch: got %d tuples, want %d", trial, workers, got.Len(), want.Len())
+			}
 		}
 	}
 }
@@ -91,13 +100,11 @@ func TestMergeJoinWideIntervalsDanglingTuples(t *testing.T) {
 	r := randomRel("R", 30, 40, 20, rng)
 	s := randomRel("S", 30, 40, 20, rng)
 	want := bruteJoin(r, s)
-	mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, mj)
-	if !got.Equal(want, 1e-12) {
-		t.Fatalf("wide-interval merge-join mismatch")
+	for _, workers := range []int{1, 4} {
+		got := drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, nil, workers))
+		if !got.Equal(want, 0) {
+			t.Fatalf("workers %d: wide-interval merge-join mismatch", workers)
+		}
 	}
 }
 
@@ -117,6 +124,24 @@ func TestBlockNLJoinMatchesBruteForce(t *testing.T) {
 	if !got.Equal(want, 1e-12) {
 		t.Fatalf("nested-loop mismatch: got %d, want %d", got.Len(), want.Len())
 	}
+
+	// A cross product several output batches long, with the block budget
+	// cutting outer batches short: every pair once, at min(l.D, m.D).
+	big := randomRel("R", 1500, 50, 3, rng)
+	cross := NewBlockNLJoin(NewMemSource(big), NewMemSource(s), func(l, m frel.Tuple) float64 { return 1 }, 8192, nil)
+	got = drain(t, cross)
+	if got.Len() != big.Len()*s.Len() {
+		t.Fatalf("cross product emitted %d pairs, want %d", got.Len(), big.Len()*s.Len())
+	}
+	want = frel.NewRelation(big.Schema.Join(s.Schema))
+	for _, l := range big.Tuples {
+		for _, m := range s.Tuples {
+			want.Append(l.Concat(m, fuzzy.Min(l.D, m.D)))
+		}
+	}
+	if !got.Equal(want, 0) {
+		t.Fatalf("cross product mismatch")
+	}
 }
 
 func TestMergeJoinExtraPredicate(t *testing.T) {
@@ -132,11 +157,7 @@ func TestMergeJoinExtraPredicate(t *testing.T) {
 	extra := func(l, m frel.Tuple) float64 {
 		return fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num)
 	}
-	mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", extra, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, mj)
+	got := drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", extra, nil, 1))
 	if got.Len() != 2 {
 		t.Fatalf("len = %d, want 2 (extra predicate filters cross pairs)", got.Len())
 	}
@@ -150,26 +171,19 @@ func TestMergeJoinRejectsUnsortedInputs(t *testing.T) {
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(5)))
 	s.Append(frel.NewTuple(1, frel.Crisp(2), frel.Crisp(10)))
 
-	mj, err := NewMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect(mj); err == nil {
-		t.Errorf("unsorted outer: want error")
-	}
-
-	mj2, err := NewMergeJoin(NewMemSource(s), NewMemSource(r), "S.X", "R.X", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect(mj2); err == nil {
-		t.Errorf("unsorted inner: want error")
+	for _, workers := range []int{1, 4} {
+		if _, err := Collect(equiJoin(t, NewMemSource(r), NewMemSource(s), "R.X", "S.X", nil, nil, workers)); err == nil {
+			t.Errorf("workers %d: unsorted outer: want error", workers)
+		}
+		if _, err := Collect(equiJoin(t, NewMemSource(s), NewMemSource(r), "S.X", "R.X", nil, nil, workers)); err == nil {
+			t.Errorf("workers %d: unsorted inner: want error", workers)
+		}
 	}
 }
 
 func TestMergeJoinRejectsStringAttr(t *testing.T) {
 	r := frel.NewRelation(frel.NewSchema("R", frel.Attribute{Name: "NAME", Kind: frel.KindString}))
-	if _, err := NewMergeJoin(NewMemSource(r), NewMemSource(r.Clone()), "NAME", "NAME", nil, nil); err == nil {
+	if _, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(r.Clone()), "NAME", "NAME", fuzzy.Crisp(0), nil, nil, 1); err == nil {
 		t.Errorf("string join attribute: want error")
 	}
 }
@@ -179,11 +193,7 @@ func TestMergeJoinCountsWork(t *testing.T) {
 	r := randomRel("R", 50, 40, 2, rng)
 	s := randomRel("S", 50, 40, 2, rng)
 	var c Counters
-	mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := drain(t, mj)
+	out := drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, &c, 1))
 	if c.DegreeEvals.Load() <= 0 || c.Comparisons.Load() < c.DegreeEvals.Load() {
 		t.Errorf("counters: degreeEvals=%d comparisons=%d", c.DegreeEvals.Load(), c.Comparisons.Load())
 	}
@@ -200,11 +210,7 @@ func TestMergeJoinExaminesOnlyRange(t *testing.T) {
 	r := randomRel("R", n, 10000, 1, rng)
 	s := randomRel("S", n, 10000, 1, rng)
 	var c Counters
-	mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drain(t, mj)
+	drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, &c, 1))
 	if c.Comparisons.Load() > n*n/10 {
 		t.Errorf("comparisons = %d, want far fewer than %d", c.Comparisons.Load(), n*n)
 	}
@@ -234,7 +240,7 @@ type countingSource struct {
 	opens int
 }
 
-func (c *countingSource) Open() (Iterator, error) {
+func (c *countingSource) Open() (BatchIterator, error) {
 	c.opens++
 	return c.Source.Open()
 }

@@ -1,25 +1,31 @@
-// The kernel merge-join: the compiled, morsel-scheduled form of the
-// extended merge-join. Both sorted inputs are materialized into flat tuple
-// and support-key columns, the atomic-cut partitioner splits them into
-// join-independent ranges exactly like ParallelMergeJoin, and the ranges
-// are coalesced into small morsels that a pool of workers pulls from a
-// shared queue. Each morsel runs a fused two-cursor loop directly over the
-// flat columns — no window staging, no per-pair virtual calls, counters in
-// locals — computing the identical degrees (same closed-form functions) in
-// the identical order, so concatenating the morsel outputs reproduces the
-// serial operator's answer tuple for tuple.
+// The extended merge-join of Section 3, compiled and morsel-scheduled.
+// Both inputs are sorted on the join attribute by the Definition 3.1
+// interval order ≼; for each outer tuple r only the inner tuples in
+// Rng(r) — those whose join-value supports intersect r's — are examined.
 //
-// Morsels vs static partitions: balanceParts makes Workers*4 partitions
-// up front, so one straggler partition (a skew range with a huge Rng) can
-// idle every other worker for its whole duration. Morsels are much
-// smaller, and a worker that finishes one immediately pulls the next, so
-// the tail of a skewed join shrinks from "largest partition" to "largest
-// single atomic range". Serial runs (Workers <= 1) use one morsel: the
-// scheduler adds nothing when there is nobody to share with.
+// The sorted inputs are materialized into flat tuple and support-key
+// columns and split into independent support-interval ranges: wherever
+// every interval seen so far ends before the next interval begins, no join
+// pair can cross, and the two sides of the cut join independently. The
+// ranges are coalesced into small morsels that a pool of workers pulls
+// from a shared queue. Each morsel runs a fused two-cursor loop directly
+// over the flat columns — no per-pair virtual calls, counters in locals —
+// and the morsel outputs are replayed in morsel order, so the answer is
+// the same tuple sequence, with the same degrees, at every worker count.
+//
+// Morsels are small, and a worker that finishes one immediately pulls the
+// next, so the tail of a skewed join is bounded by its largest single
+// atomic range rather than by a fixed partition. Serial runs (Workers <=
+// 1) use one morsel: the scheduler adds nothing when there is nobody to
+// share with.
 package exec
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
@@ -32,31 +38,47 @@ import (
 // amortizes to one allocation per 4*BatchSize values.
 const kernelArenaChunk = 4 * BatchSize
 
-// KernelMergeJoin is the compiled extended merge-join on the fuzzy band
-// condition outer.OuterAttr ≈ inner.InnerAttr, with residual conjuncts
-// compiled into a kernel.PairProgram instead of interpreted closures.
-// Inputs must be sorted by the Definition 3.1 order, like for MergeJoin.
+// KernelMergeJoin is the extended merge-join on the fuzzy band condition
+// outer.OuterAttr ≈ inner.InnerAttr. Both inputs must already be sorted on
+// their join attribute by the Definition 3.1 order (use extsort.ByAttr).
+//
+// The emitted tuple is outer ++ inner with degree
+// min(outer.D, inner.D, d(outer.X ≈ inner.X), residual(outer, inner)),
+// where the residual conjuncts (e.g. the second join predicate of an
+// unnested type J query) come from Extra, compiled into a
+// kernel.PairProgram, or, when they have no kernel form, from the
+// interpreted Residual closure.
 type KernelMergeJoin struct {
 	Outer, Inner         Source
 	OuterAttr, InnerAttr string
-	Extra                *kernel.PairProgram // nil or empty: no residual conjuncts
+	Extra                *kernel.PairProgram // nil or empty: no compiled residual
+	Residual             JoinPred            // interpreted residual, used when Extra is nil or empty
 	Counters             *Counters
-	Tol                  fuzzy.Trapezoid
 	Workers              int
 
-	// Stats, when non-nil, receives the EXPLAIN ANALYZE measures under the
-	// same conventions as MergeJoin.Stats: Comparisons and DegreeEvals
-	// count support-intersecting pairs (morsel-invariant), Rng(r) lengths
-	// are observed per outer tuple, and the kernel counters
-	// (KernelTuples, Morsels) are display-only.
+	// Tol generalizes the equi-join to a band join (Section 3 relates the
+	// fuzzy equi-join to band joins): the join degree becomes the
+	// similarity d(outer.X ≈ inner.X) under the tolerance distribution of
+	// acceptable differences, and the Rng(r) cursor widens accordingly.
+	// The zero value is Crisp(0): exact fuzzy equality.
+	Tol fuzzy.Trapezoid
+
+	// Stats, when non-nil, receives the EXPLAIN ANALYZE measures. Unlike
+	// Counters.Comparisons (which counts every window tuple examined,
+	// including dangling tuples), Stats.Comparisons and Stats.DegreeEvals
+	// count only support-intersecting pairs — a morsel-invariant quantity
+	// — and the Rng(r) scan length of each outer tuple is reported through
+	// Stats.ObserveRng. The kernel counters (KernelTuples, Morsels) are
+	// display-only.
 	Stats *OpStats
 
 	schema *frel.Schema
 	oi, ii int
 }
 
-// NewKernelMergeJoin builds a compiled band merge-join with the given
-// worker count (0 = GOMAXPROCS).
+// NewKernelMergeJoin builds a band merge-join with the given worker count
+// (0 = GOMAXPROCS) and compiled residual (nil for none). Crisp(0) as tol
+// is exact fuzzy equality.
 func NewKernelMergeJoin(outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.PairProgram, counters *Counters, workers int) (*KernelMergeJoin, error) {
 	oi, ii, err := checkJoinAttrs(outer, inner, outerAttr, innerAttr)
 	if err != nil {
@@ -83,41 +105,9 @@ func NewKernelMergeJoin(outer, inner Source, outerAttr, innerAttr string, tol fu
 // Schema implements Source.
 func (j *KernelMergeJoin) Schema() *frel.Schema { return j.schema }
 
-// Open implements Source by draining the batched form.
-func (j *KernelMergeJoin) Open() (Iterator, error) {
-	bit, err := j.OpenBatch()
-	if err != nil {
-		return nil, err
-	}
-	return &batchTupleAdapter{it: bit}, nil
-}
-
-// batchTupleAdapter serves a BatchIterator one tuple at a time.
-type batchTupleAdapter struct {
-	it  BatchIterator
-	buf []frel.Tuple
-	pos int
-}
-
-func (a *batchTupleAdapter) Next() (frel.Tuple, bool) {
-	for a.pos >= len(a.buf) {
-		b, ok := a.it.NextBatch()
-		if !ok {
-			return frel.Tuple{}, false
-		}
-		a.buf, a.pos = b, 0
-	}
-	t := a.buf[a.pos]
-	a.pos++
-	return t, true
-}
-
-func (a *batchTupleAdapter) Err() error { return a.it.Err() }
-func (a *batchTupleAdapter) Close()     { a.it.Close() }
-
-// OpenBatch implements BatchSource.
-func (j *KernelMergeJoin) OpenBatch() (BatchIterator, error) {
-	return j.openBatchProjected(nil)
+// Open implements Source.
+func (j *KernelMergeJoin) Open() (BatchIterator, error) {
+	return j.openProjected(nil)
 }
 
 // morselGrain picks the morsel weight target: serial runs get one morsel
@@ -134,17 +124,18 @@ func morselGrain(total, workers int) int {
 	return g
 }
 
-// openBatchProjected opens the join with an optional pushed-down emit mask
-// (indices into the concatenated outer ++ inner row); see
-// MergeJoin.openBatchProjected. The whole join runs eagerly: morsels are
-// pulled off the shared queue by the worker pool and their outputs are
-// replayed in morsel order, which is the serial emission order.
-func (j *KernelMergeJoin) openBatchProjected(emitIdx []int) (BatchIterator, error) {
-	outer, oKeys, err := collectSortedBatched(j.Outer, j.oi, "outer")
+// openProjected opens the join with an optional pushed-down emit mask of
+// indices into the concatenated outer ++ inner row (projection pushdown:
+// only the projected values are written to the output arena). A nil mask
+// emits the full row. The whole join runs eagerly: morsels are pulled off
+// the shared queue by the worker pool and their outputs are replayed in
+// morsel order, which is the serial emission order.
+func (j *KernelMergeJoin) openProjected(emitIdx []int) (BatchIterator, error) {
+	outer, oKeys, err := collectKeyed(j.Outer, j.oi, "outer")
 	if err != nil {
 		return nil, err
 	}
-	inner, iKeys, err := collectSortedBatched(j.Inner, j.ii, "inner")
+	inner, iKeys, err := collectKeyed(j.Inner, j.ii, "inner")
 	if err != nil {
 		return nil, err
 	}
@@ -182,8 +173,8 @@ func (j *KernelMergeJoin) openBatchProjected(emitIdx []int) (BatchIterator, erro
 			lo, hi := oKeys[o].Lo, oKeys[o].Hi
 			// Advance past buffered inner tuples whose widened supports end
 			// before this outer begins; admit those beginning at or before
-			// its end. Identical to batchWindow.advance/extend with the
-			// band shift applied on the outer side.
+			// its end (batchWindow.advance/extend over the flat key
+			// column, with the band shift applied).
 			for start < end && iKeys[start].Hi+j.Tol.D < lo {
 				start++
 			}
@@ -221,6 +212,12 @@ func (j *KernelMergeJoin) openBatchProjected(emitIdx []int) (BatchIterator, erro
 					g, ev := extra.EvalAnd(outer[o].Values, inner[k].Values)
 					loc.deg += ev
 					if g < d {
+						d = g
+					}
+				} else if d > 0 && j.Residual != nil {
+					loc.deg++
+					loc.stDeg++
+					if g := j.Residual(outer[o], inner[k]); g < d {
 						d = g
 					}
 				}
@@ -264,3 +261,171 @@ func (j *KernelMergeJoin) openBatchProjected(emitIdx []int) (BatchIterator, erro
 	}
 	return &partsBatchIterator{parts: results}, nil
 }
+
+// DefaultParallelism is the worker count used when a caller passes 0.
+func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
+
+// partRange is one atomic range: outer[oLo:oHi] can only join
+// inner[iLo:iHi].
+type partRange struct {
+	oLo, oHi int
+	iLo, iHi int
+}
+
+// weight is the range's work proxy for morsel coalescing.
+func (p partRange) weight() int { return (p.oHi - p.oLo) + (p.iHi - p.iLo) }
+
+// collectKeyed drains src, verifying the Definition 3.1 sort order and
+// building the flat support-key column the cut finder and the morsel
+// sweeps run on. Keys are copied from the producer when it serves them
+// and computed otherwise.
+func collectKeyed(src Source, idx int, side string) ([]frel.Tuple, []frel.SupportKey, error) {
+	it, err := src.Open()
+	if err != nil {
+		return nil, nil, err
+	}
+	defer it.Close()
+	var tuples []frel.Tuple
+	var keys []frel.SupportKey
+	prevBegin := math.Inf(-1)
+	for {
+		b, ok := it.NextBatch()
+		if !ok {
+			break
+		}
+		bk := batchKeys(it)
+		for i, t := range b {
+			var lo, hi float64
+			if bk != nil {
+				lo, hi = bk[i].Lo, bk[i].Hi
+			} else {
+				lo, hi = t.Values[idx].Num.Support()
+			}
+			if lo < prevBegin {
+				return nil, nil, fmt.Errorf("exec: merge-join %s input is not sorted by the Definition 3.1 order", side)
+			}
+			prevBegin = lo
+			tuples = append(tuples, t)
+			keys = append(keys, frel.SupportKey{Lo: lo, Hi: hi, D: t.D})
+		}
+	}
+	return tuples, keys, it.Err()
+}
+
+// atomicCutsKeyed scans both begin-sorted key columns and returns the
+// atomic ranges between the cut points (o, i) at which outer[:o] ∪
+// inner[:i] is join-independent from the rest: every support interval
+// consumed before the cut ends strictly before every interval after it
+// begins. The inner intervals are widened by the band tolerance (an inner
+// value s joins outer r when support(s ⊕ tol) intersects support(r)), so
+// no band-join pair crosses a cut either.
+func atomicCutsKeyed(outer, inner []frel.SupportKey, tol fuzzy.Trapezoid) []partRange {
+	var cuts [][2]int
+	maxHi := math.Inf(-1)
+	o, i := 0, 0
+	for o < len(outer) || i < len(inner) {
+		var lo, hi float64
+		takeOuter := false
+		if o < len(outer) {
+			if i < len(inner) {
+				takeOuter = outer[o].Lo <= inner[i].Lo+tol.A
+			} else {
+				takeOuter = true
+			}
+		}
+		if takeOuter {
+			lo, hi = outer[o].Lo, outer[o].Hi
+		} else {
+			lo, hi = inner[i].Lo+tol.A, inner[i].Hi+tol.D
+		}
+		// Everything consumed so far ends before this interval begins:
+		// the ranges on either side cannot produce a joining pair.
+		if (o > 0 || i > 0) && lo > maxHi {
+			cuts = append(cuts, [2]int{o, i})
+		}
+		if hi > maxHi {
+			maxHi = hi
+		}
+		if takeOuter {
+			o++
+		} else {
+			i++
+		}
+	}
+	ranges := make([]partRange, 0, len(cuts)+1)
+	po, pi := 0, 0
+	for _, c := range cuts {
+		ranges = append(ranges, partRange{po, c[0], pi, c[1]})
+		po, pi = c[0], c[1]
+	}
+	ranges = append(ranges, partRange{po, len(outer), pi, len(inner)})
+	return ranges
+}
+
+// runParallel executes fn(0..n-1) on at most workers goroutines and
+// returns the first error.
+func runParallel(workers, n int, fn func(i int) error) error {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		next    atomic.Int64
+		wg      sync.WaitGroup
+		errOnce sync.Once
+		firstEr error
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := fn(i); err != nil {
+					errOnce.Do(func() { firstEr = err })
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return firstEr
+}
+
+// partsBatchIterator replays per-morsel result slices in morsel order, a
+// BatchSize subslice at a time.
+type partsBatchIterator struct {
+	parts [][]frel.Tuple
+	p, i  int
+}
+
+func (it *partsBatchIterator) NextBatch() ([]frel.Tuple, bool) {
+	for it.p < len(it.parts) {
+		part := it.parts[it.p]
+		if it.i < len(part) {
+			end := it.i + BatchSize
+			if end > len(part) {
+				end = len(part)
+			}
+			b := part[it.i:end]
+			it.i = end
+			return b, true
+		}
+		it.p++
+		it.i = 0
+	}
+	return nil, false
+}
+
+func (it *partsBatchIterator) Err() error { return nil }
+func (it *partsBatchIterator) Close()     {}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/kernel"
 )
 
-// pairExtras builds the residual-conjunct pair for the kernel-join parity
+// pairExtras builds the residual conjuncts for the merge-join parity
 // tests in both forms: a compiled PairProgram and the equivalent
 // interpreted JoinPred with the andJoinPreds evaluation order, charging
 // DegreeEvals per conjunct call exactly like the compiled join-predicate
@@ -51,13 +51,11 @@ func pairExtras(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
 	return pp, interp
 }
 
-// TestKernelMergeJoinMatchesInterpreted cross-checks the morsel-scheduled
-// kernel merge-join against the interpreted band merge-join on random
-// inputs: identical output sequences, work counters and EXPLAIN ANALYZE
-// stats at every worker count, with and without residual conjuncts.
-// Morsels subdivide only at atomic-cut boundaries where the inner window
-// is empty, so every counter — including Comparisons — is scheduling-
-// invariant here.
+// TestKernelMergeJoinMatchesInterpreted cross-checks the two residual
+// arms of the merge-join on random inputs: residual conjuncts compiled
+// into a PairProgram against the same conjuncts as an interpreted
+// JoinPred — identical output sequences, work counters and EXPLAIN
+// ANALYZE stats at every worker count, with and without residuals.
 func TestKernelMergeJoinMatchesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tols := []fuzzy.Trapezoid{fuzzy.Crisp(0), fuzzy.Tri(-3, 0, 3), fuzzy.Trap(-5, -2, 2, 5)}
@@ -84,28 +82,23 @@ func TestKernelMergeJoinMatchesInterpreted(t *testing.T) {
 
 				var ci Counters
 				si := NewOpStats("merge-join", "")
-				var extra JoinPred
-				if withExtra {
-					_, extra = pairExtras(t, &ci)
-				}
-				mj, err := NewBandMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-					"R.X", "S.X", tol, extra, &ci)
+				ij, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
+					"R.X", "S.X", tol, nil, &ci, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				mj.Stats = si
-				want := batchDrain(t, mj)
+				if withExtra {
+					_, ij.Residual = pairExtras(t, &ci)
+				}
+				ij.Stats = si
+				want := batchDrain(t, ij)
 
 				name := "kernel merge-join"
 				sameSequence(t, name, got, want)
 				sameCounters(t, name, &ck, &ci)
 				sameStats(t, name, sk, si)
-				if workers > 1 && ck.Morsels.Load() <= 1 && len(got) > 0 {
-					// Small inputs may coalesce into few morsels, but the
-					// count must at least be recorded.
-					if ck.Morsels.Load() == 0 {
-						t.Errorf("%s: no morsels recorded", name)
-					}
+				if ck.Morsels.Load() == 0 {
+					t.Errorf("%s: no morsels recorded", name)
 				}
 				if ck.KernelTuples.Load() != int64(r.Len()) {
 					t.Errorf("%s: KernelTuples %d, want %d", name, ck.KernelTuples.Load(), r.Len())
@@ -115,107 +108,72 @@ func TestKernelMergeJoinMatchesInterpreted(t *testing.T) {
 	}
 }
 
-// TestKernelMergeJoinTupleDrain checks the tuple-at-a-time adapter serves
-// the same sequence as the batched form.
-func TestKernelMergeJoinTupleDrain(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	r := randomRel("R", 150, 70, 5, rng)
-	s := randomRel("S", 150, 70, 5, rng)
-	build := func(c *Counters) *KernelMergeJoin {
-		kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-			"R.X", "S.X", fuzzy.Tri(-2, 0, 2), nil, c, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return kj
-	}
-	var cb, ct Counters
-	sameSequence(t, "kernel join tuple drain",
-		tupleDrain(t, build(&ct)), batchDrain(t, build(&cb)))
-	sameCounters(t, "kernel join tuple drain", &cb, &ct)
-}
-
 // TestKernelMergeJoinProjected checks the projection-pushdown emit of the
-// kernel join, with and without duplicate elimination, against the
-// interpreted join-then-project pipeline.
+// merge-join, with and without duplicate elimination, against the
+// join-then-project pipeline (a stats wrapper around the join disables
+// the pushdown).
 func TestKernelMergeJoinProjected(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, dedup := range []bool{false, true} {
 		for trial := 0; trial < 6; trial++ {
 			r := randomRel("R", 100+rng.Intn(100), 60, 5, rng)
 			s := randomRel("S", 100+rng.Intn(100), 60, 5, rng)
-
-			var ck Counters
-			kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-				"R.X", "S.X", fuzzy.Crisp(0), nil, &ck, 3)
-			if err != nil {
-				t.Fatal(err)
+			build := func() *KernelMergeJoin {
+				kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
+					"R.X", "S.X", fuzzy.Crisp(0), nil, nil, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return kj
 			}
-			kproj, err := NewProject(kj, []string{"R.ID", "S.ID"}, dedup)
+			kproj, err := NewProject(build(), []string{"R.ID", "S.ID"}, dedup)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := batchDrain(t, kproj)
 
-			mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-				"R.X", "S.X", nil, nil)
+			iproj, err := NewProject(NewStated(build(), NewOpStats("merge-join", "")), []string{"R.ID", "S.ID"}, dedup)
 			if err != nil {
 				t.Fatal(err)
 			}
-			iproj, err := NewProject(mj, []string{"R.ID", "S.ID"}, dedup)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := tupleDrain(t, iproj)
+			want := batchDrain(t, iproj)
 			sameSequence(t, "kernel projected join", got, want)
 		}
 	}
 }
 
 // TestKernelMergeJoinEmptySides covers empty inputs: the join must not
-// emit, and the per-outer empty Rng(r) observations must match the
-// interpreted operator's.
+// emit or evaluate anything, and each outer tuple records one empty
+// Rng(r) observation.
 func TestKernelMergeJoinEmptySides(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r := randomRel("R", 40, 30, 3, rng)
 	empty := frel.NewRelation(xSchema("S"))
 	for _, flip := range []bool{false, true} {
-		outer, inner := r, empty
+		outer, inner, oa, ia := r, empty, "R.X", "S.X"
 		if flip {
-			outer, inner = empty, r
+			outer, inner, oa, ia = empty, r, "S.X", "R.X"
 		}
-		var ck, ci Counters
-		sk, si := NewOpStats("merge-join", ""), NewOpStats("merge-join", "")
+		var c Counters
+		st := NewOpStats("merge-join", "")
 		kj, err := NewKernelMergeJoin(sortedSource(t, outer, "X"), sortedSource(t, inner, "X"),
-			"R.X", "S.X", fuzzy.Crisp(0), nil, &ck, 2)
-		if flip {
-			kj, err = NewKernelMergeJoin(sortedSource(t, outer, "X"), sortedSource(t, inner, "X"),
-				"S.X", "R.X", fuzzy.Crisp(0), nil, &ck, 2)
-		}
+			oa, ia, fuzzy.Crisp(0), nil, &c, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kj.Stats = sk
-		got := batchDrain(t, kj)
-		if len(got) != 0 {
+		kj.Stats = st
+		if got := batchDrain(t, kj); len(got) != 0 {
 			t.Fatalf("flip=%v: empty-side join emitted %d tuples", flip, len(got))
 		}
-
-		var mj *MergeJoin
-		if flip {
-			mj, err = NewBandMergeJoin(sortedSource(t, outer, "X"), sortedSource(t, inner, "X"),
-				"S.X", "R.X", fuzzy.Crisp(0), nil, &ci)
-		} else {
-			mj, err = NewBandMergeJoin(sortedSource(t, outer, "X"), sortedSource(t, inner, "X"),
-				"R.X", "S.X", fuzzy.Crisp(0), nil, &ci)
+		if c.Comparisons.Load() != 0 || c.DegreeEvals.Load() != 0 || c.TuplesOut.Load() != 0 {
+			t.Errorf("flip=%v: counters cmp/deg/out %d/%d/%d, want zero", flip,
+				c.Comparisons.Load(), c.DegreeEvals.Load(), c.TuplesOut.Load())
 		}
-		if err != nil {
-			t.Fatal(err)
+		snap := st.Snapshot()
+		if snap.RngCount != int64(outer.Len()) || snap.RngMax != 0 || snap.Comparisons != 0 {
+			t.Errorf("flip=%v: stats rng n=%d max=%d cmp=%d, want n=%d max=0 cmp=0", flip,
+				snap.RngCount, snap.RngMax, snap.Comparisons, outer.Len())
 		}
-		mj.Stats = si
-		batchDrain(t, mj)
-		sameStats(t, "empty-side kernel join", sk, si)
-		sameCounters(t, "empty-side kernel join", &ck, &ci)
 	}
 }
 

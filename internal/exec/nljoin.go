@@ -53,95 +53,106 @@ func NewBlockNLJoin(outer, inner Source, on JoinPred, blockBytes int, counters *
 func (j *BlockNLJoin) Schema() *frel.Schema { return j.schema }
 
 // Open implements Source.
-func (j *BlockNLJoin) Open() (Iterator, error) {
+func (j *BlockNLJoin) Open() (BatchIterator, error) {
 	outerIt, err := j.Outer.Open()
 	if err != nil {
 		return nil, err
 	}
-	return &nlIterator{join: j, outer: outerIt}, nil
+	return &nlBatchIterator{join: j, outer: outerIt, loc: newBatchLocals()}, nil
 }
 
-type nlIterator struct {
+type nlBatchIterator struct {
 	join  *BlockNLJoin
-	outer Iterator
+	outer BatchIterator
 
+	// The outer block, copied out of the outer batches, and the rest of
+	// the outer batch the block budget cut short.
 	block     []frel.Tuple
+	obatch    []frel.Tuple
+	opos      int
 	outerDone bool
 
-	inner    Iterator
-	innerCur frel.Tuple
-	innerOK  bool
-	blockPos int
+	// The inner scan of the current block, and the position of the next
+	// pair: inner tuple ibatch[ipos] against block[bpos].
+	inner  BatchIterator
+	ibatch []frel.Tuple
+	ipos   int
+	bpos   int
 
+	out []frel.Tuple
+	loc batchLocals
 	err error
 }
 
 // fillBlock buffers the next block of outer tuples within the byte budget.
-func (it *nlIterator) fillBlock() bool {
+func (it *nlBatchIterator) fillBlock() bool {
 	it.block = it.block[:0]
-	if it.outerDone {
-		return false
-	}
 	schema := it.join.Outer.Schema()
 	used := 0
-	for used < it.join.BlockBytes {
-		t, ok := it.outer.Next()
-		if !ok {
-			it.outerDone = true
-			break
+	for used < it.join.BlockBytes && !it.outerDone {
+		if it.opos >= len(it.obatch) {
+			b, ok := it.outer.NextBatch()
+			if !ok {
+				it.err = it.outer.Err()
+				it.outerDone = true
+				break
+			}
+			it.obatch, it.opos = b, 0
 		}
+		t := it.obatch[it.opos]
+		it.opos++
 		it.block = append(it.block, t)
 		used += frel.EncodedSize(schema, t)
 	}
-	return len(it.block) > 0
+	return it.err == nil && len(it.block) > 0
 }
 
-func (it *nlIterator) Next() (frel.Tuple, bool) {
+// nextInner stages the next inner batch, opening the inner scan of the
+// next outer block when the current one is exhausted.
+func (it *nlBatchIterator) nextInner() bool {
 	for {
-		if it.err != nil {
-			return frel.Tuple{}, false
-		}
 		if it.inner == nil {
 			if !it.fillBlock() {
-				if e := it.outer.Err(); e != nil {
-					it.err = e
-				}
-				return frel.Tuple{}, false
+				return false
 			}
 			in, err := it.join.Inner.Open()
 			if err != nil {
 				it.err = err
-				return frel.Tuple{}, false
+				return false
 			}
 			it.inner = in
-			it.innerOK = false
-			it.blockPos = 0
 		}
-		if !it.innerOK {
-			t, ok := it.inner.Next()
-			if !ok {
-				if e := it.inner.Err(); e != nil {
-					it.err = e
-					return frel.Tuple{}, false
-				}
-				it.inner.Close()
-				it.inner = nil
-				continue // next outer block
-			}
-			it.innerCur = t
-			it.innerOK = true
-			it.blockPos = 0
+		b, ok := it.inner.NextBatch()
+		if ok {
+			it.ibatch, it.ipos, it.bpos = b, 0, 0
+			return true
 		}
-		for it.blockPos < len(it.block) {
-			l := it.block[it.blockPos]
-			r := it.innerCur
-			it.blockPos++
-			it.join.Counters.DegreeEvals.Add(1)
-			if st := it.join.Stats; st != nil {
-				st.Comparisons.Add(1)
-				st.DegreeEvals.Add(1)
+		if it.err = it.inner.Err(); it.err != nil {
+			return false
+		}
+		it.inner.Close()
+		it.inner = nil // next outer block
+	}
+}
+
+func (it *nlBatchIterator) NextBatch() ([]frel.Tuple, bool) {
+	j := it.join
+	it.out = it.out[:0]
+	for len(it.out) < BatchSize {
+		if it.ipos >= len(it.ibatch) {
+			if !it.nextInner() {
+				break
 			}
-			d := it.join.On(l, r)
+			continue
+		}
+		r := it.ibatch[it.ipos]
+		for it.bpos < len(it.block) && len(it.out) < BatchSize {
+			l := it.block[it.bpos]
+			it.bpos++
+			it.loc.deg++
+			it.loc.stCmp++
+			it.loc.stDeg++
+			d := j.On(l, r)
 			if l.D < d {
 				d = l.D
 			}
@@ -149,17 +160,22 @@ func (it *nlIterator) Next() (frel.Tuple, bool) {
 				d = r.D
 			}
 			if d > 0 {
-				it.join.Counters.TuplesOut.Add(1)
-				return l.Concat(r, d), true
+				it.loc.tout++
+				it.out = append(it.out, l.Concat(r, d))
 			}
 		}
-		it.innerOK = false // advance to next inner tuple
+		if it.bpos == len(it.block) {
+			it.ipos++
+			it.bpos = 0
+		}
 	}
+	it.loc.flush(j.Counters, j.Stats)
+	return it.out, len(it.out) > 0
 }
 
-func (it *nlIterator) Err() error { return it.err }
+func (it *nlBatchIterator) Err() error { return it.err }
 
-func (it *nlIterator) Close() {
+func (it *nlBatchIterator) Close() {
 	if it.inner != nil {
 		it.inner.Close()
 		it.inner = nil

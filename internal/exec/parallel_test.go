@@ -13,7 +13,7 @@ import (
 // vagueRel mixes the narrow values of randomRel with a fraction of very
 // wide supports (the paper's closing caveat: temporal-database-sized
 // intervals), which keep dangling tuples inside Rng(r) and force the
-// partitioner to widen its cuts past long runs of overlapping intervals.
+// cut finder to widen its cuts past long runs of overlapping intervals.
 func vagueRel(name string, n int, span float64, vagueEvery int, rng *rand.Rand) *frel.Relation {
 	r := randomRel(name, n, span, 4, rng)
 	if vagueEvery <= 0 {
@@ -48,11 +48,28 @@ func identicalSequences(t *testing.T, serial, parallel *frel.Relation, tol float
 	}
 }
 
+// morselJoin builds the merge-join with the given tolerance, interpreted
+// residual, worker count and counters/stats sinks.
+func morselJoin(t *testing.T, r, s *frel.Relation, tol fuzzy.Trapezoid, residual JoinPred, workers int, c *Counters, st *OpStats) *KernelMergeJoin {
+	t.Helper()
+	mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", tol, nil, c, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mj.Residual = residual
+	mj.Stats = st
+	return mj
+}
+
 // TestParallelMergeJoinEquivalence is the randomized property test: over
-// workloads with narrow, wide-interval, and dangling tuples, the parallel
-// partitioned merge-join must return the identical fuzzy relation — same
-// tuples, same emission order, degrees equal to 1e-9 — as the serial
-// operator, at every worker count, with identical work counters.
+// workloads with narrow, wide-interval, and dangling tuples, the
+// morsel-scheduled merge-join must return the identical fuzzy relation —
+// same tuples, same emission order, bit-identical degrees — at every
+// worker count, with identical degree evaluations, output counts and
+// EXPLAIN ANALYZE stats. Counters.Comparisons may only shrink: a serial
+// sweep examines the inner tuples of a range without outer tuples as
+// dangling members of the next outer tuple's window, while a morsel
+// boundary between the two ranges skips them.
 func TestParallelMergeJoinEquivalence(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -60,9 +77,9 @@ func TestParallelMergeJoinEquivalence(t *testing.T) {
 		span       float64
 		vagueEvery int // 0 = narrow values only
 	}{
-		{"narrow", 300, 2000, 0},
-		{"clustered", 250, 200, 0}, // heavy overlap, few partitions
-		{"vague10", 300, 2000, 10},
+		{"narrow", 600, 4000, 0},
+		{"clustered", 250, 200, 0}, // heavy overlap, few morsels
+		{"vague10", 600, 4000, 10},
 		{"vague3", 200, 1000, 3}, // wide intervals dominate
 		{"tiny", 7, 50, 2},
 	}
@@ -73,25 +90,12 @@ func TestParallelMergeJoinEquivalence(t *testing.T) {
 				r := vagueRel("R", tc.n, tc.span, tc.vagueEvery, rng)
 				s := vagueRel("S", tc.n+rng.Intn(100), tc.span, tc.vagueEvery, rng)
 				var sc Counters
-				mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, &sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serial := drain(t, mj)
-				for _, workers := range []int{1, 2, 3, 8} {
+				ss := NewOpStats("merge-join", "")
+				serial := drain(t, morselJoin(t, r, s, fuzzy.Crisp(0), nil, 1, &sc, ss))
+				for _, workers := range []int{2, 3, 8} {
 					var pc Counters
-					pj, err := NewParallelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-						"R.X", "S.X", fuzzy.Crisp(0), nil, &pc, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					identicalSequences(t, serial, drain(t, pj), 1e-9)
-					// Degree evaluations and output tuples must match the
-					// serial operator exactly. Pair examinations may only
-					// shrink: a partition boundary pre-drops dangling
-					// tuples the serial window examines when they arrive
-					// in the same extend batch as the range's real
-					// members.
+					ps := NewOpStats("merge-join", "")
+					identicalSequences(t, serial, drain(t, morselJoin(t, r, s, fuzzy.Crisp(0), nil, workers, &pc, ps)), 0)
 					if pc.DegreeEvals.Load() != sc.DegreeEvals.Load() ||
 						pc.TuplesOut.Load() != sc.TuplesOut.Load() {
 						t.Errorf("workers=%d: work diverges: serial evals/out %d/%d, parallel %d/%d",
@@ -107,6 +111,7 @@ func TestParallelMergeJoinEquivalence(t *testing.T) {
 						t.Errorf("workers=%d: comparisons %d below degree evals %d",
 							workers, pc.Comparisons.Load(), pc.DegreeEvals.Load())
 					}
+					sameStats(t, fmt.Sprintf("workers=%d", workers), ps, ss)
 				}
 			})
 		}
@@ -115,7 +120,7 @@ func TestParallelMergeJoinEquivalence(t *testing.T) {
 
 // TestParallelBandMergeJoinEquivalence repeats the property under an
 // asymmetric band tolerance, which shifts the inner intervals the
-// partitioner must widen cuts around.
+// cut finder must widen cuts around.
 func TestParallelBandMergeJoinEquivalence(t *testing.T) {
 	tols := []fuzzy.Trapezoid{
 		fuzzy.Tri(-5, 0, 5),
@@ -125,55 +130,37 @@ func TestParallelBandMergeJoinEquivalence(t *testing.T) {
 		for seed := int64(10); seed <= 12; seed++ {
 			t.Run(fmt.Sprintf("tol=%d/seed=%d", ti, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				r := vagueRel("R", 200, 800, 8, rng)
-				s := vagueRel("S", 230, 800, 8, rng)
-				mj, err := NewBandMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-					"R.X", "S.X", tol, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serial := drain(t, mj)
+				r := vagueRel("R", 400, 1600, 8, rng)
+				s := vagueRel("S", 430, 1600, 8, rng)
+				serial := drain(t, morselJoin(t, r, s, tol, nil, 1, nil, nil))
 				for _, workers := range []int{2, 5} {
-					pj, err := NewParallelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-						"R.X", "S.X", tol, nil, nil, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					identicalSequences(t, serial, drain(t, pj), 1e-9)
+					identicalSequences(t, serial, drain(t, morselJoin(t, r, s, tol, nil, workers, nil, nil)), 0)
 				}
 			})
 		}
 	}
 }
 
-// TestParallelMergeJoinExtraPred checks that extra conjunctive predicates
-// (the second predicate of an unnested type J query) survive partitioning.
+// TestParallelMergeJoinExtraPred checks that an interpreted residual
+// predicate (the second predicate of an unnested type J query) survives
+// morsel scheduling.
 func TestParallelMergeJoinExtraPred(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	r := vagueRel("R", 150, 500, 6, rng)
-	s := vagueRel("S", 150, 500, 6, rng)
+	r := vagueRel("R", 300, 1000, 6, rng)
+	s := vagueRel("S", 300, 1000, 6, rng)
 	ri, _ := r.Schema.Resolve("ID")
 	si, _ := s.Schema.Resolve("ID")
 	extra := func(l, m frel.Tuple) float64 {
 		// An arbitrary deterministic degree depending on both sides.
 		return fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num)/2 + 0.5
 	}
-	mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", extra, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := drain(t, mj)
-	pj, err := NewParallelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-		"R.X", "S.X", fuzzy.Crisp(0), extra, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	identicalSequences(t, serial, drain(t, pj), 1e-9)
+	serial := drain(t, morselJoin(t, r, s, fuzzy.Crisp(0), extra, 1, nil, nil))
+	identicalSequences(t, serial, drain(t, morselJoin(t, r, s, fuzzy.Crisp(0), extra, 4, nil, nil)), 0)
 }
 
-// TestAtomicCutsIndependence verifies the partition invariant directly:
-// no (outer, inner) pair whose supports intersect (after band widening)
-// may straddle a cut.
+// TestAtomicCutsIndependence verifies the morsel invariant directly: no
+// (outer, inner) pair whose supports intersect (after band widening) may
+// straddle a cut.
 func TestAtomicCutsIndependence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -184,7 +171,7 @@ func TestAtomicCutsIndependence(t *testing.T) {
 		ss := sortedSource(t, s, "X").(*MemSource).Rel
 		oi, _ := rs.Schema.Resolve("X")
 		ii, _ := ss.Schema.Resolve("X")
-		ranges := atomicCuts(rs.Tuples, ss.Tuples, oi, ii, tol)
+		ranges := atomicCutsKeyed(frel.SupportKeys(rs.Tuples, oi), frel.SupportKeys(ss.Tuples, ii), tol)
 		// Ranges must tile both inputs in order.
 		po, pi := 0, 0
 		for _, p := range ranges {
@@ -210,7 +197,7 @@ func TestAtomicCutsIndependence(t *testing.T) {
 			for j, m := range ss.Tuples {
 				shifted := fuzzy.Add(m.Values[ii].Num, tol)
 				if l.Values[oi].Num.Intersects(shifted) && outerPart[i] != innerPart[j] {
-					t.Fatalf("seed %d: intersecting pair (%d,%d) split across partitions %d/%d",
+					t.Fatalf("seed %d: intersecting pair (%d,%d) split across ranges %d/%d",
 						seed, i, j, outerPart[i], innerPart[j])
 				}
 			}
@@ -218,44 +205,15 @@ func TestAtomicCutsIndependence(t *testing.T) {
 	}
 }
 
-// TestBalanceParts checks coalescing respects bounds and order.
-func TestBalanceParts(t *testing.T) {
-	ranges := make([]partRange, 10)
-	o := 0
-	for i := range ranges {
-		w := 1 + i%3
-		ranges[i] = partRange{o, o + w, o, o + w}
-		o += w
-	}
-	for _, maxParts := range []int{1, 2, 3, 10, 50} {
-		got := balanceParts(ranges, maxParts)
-		want := maxParts
-		if want > len(ranges) {
-			want = len(ranges)
-		}
-		if len(got) > want {
-			t.Errorf("maxParts=%d: got %d parts", maxParts, len(got))
-		}
-		if got[0].oLo != 0 || got[len(got)-1].oHi != o {
-			t.Errorf("maxParts=%d: parts do not span input", maxParts)
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i].oLo != got[i-1].oHi {
-				t.Errorf("maxParts=%d: gap between parts %d and %d", maxParts, i-1, i)
-			}
-		}
-	}
-}
-
 // TestParallelMergeJoinUnsortedInput: the materializing open must reject
-// inputs that violate the Definition 3.1 order, like the serial operator.
+// inputs that violate the Definition 3.1 order at any worker count.
 func TestParallelMergeJoinUnsortedInput(t *testing.T) {
 	r := frel.NewRelation(xSchema("R"))
 	r.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(10)))
 	r.Append(frel.NewTuple(1, frel.Crisp(2), frel.Crisp(5)))
 	s := frel.NewRelation(xSchema("S"))
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(7)))
-	pj, err := NewParallelMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X",
+	pj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X",
 		fuzzy.Crisp(0), nil, nil, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -51,13 +51,13 @@ func TestHeapSourceEarlyClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.Next(); !ok {
-		t.Fatal("no first tuple")
+	if _, ok := it.NextBatch(); !ok {
+		t.Fatal("no first batch")
 	}
 	it.Close()
 	it.Close() // idempotent
-	if _, ok := it.Next(); ok {
-		t.Errorf("Next after Close should fail")
+	if _, ok := it.NextBatch(); ok {
+		t.Errorf("NextBatch after Close should fail")
 	}
 	if m.Pool().PinnedPages() != 0 {
 		t.Errorf("pinned pages leaked after early close")
@@ -67,7 +67,7 @@ func TestHeapSourceEarlyClose(t *testing.T) {
 func TestMergeJoinOverHeapSources(t *testing.T) {
 	m, h := heapWith(t, 300)
 	_, h2 := heapWith(t, 300)
-	mj, err := NewMergeJoin(NewHeapSource(h), NewHeapSource(h2), "X", "X", nil, nil)
+	mj, err := NewKernelMergeJoin(NewHeapSource(h), NewHeapSource(h2), "X", "X", fuzzy.Crisp(0), nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestMergeJoinHeapSortedInputs(t *testing.T) {
 		return h
 	}
 	r, s := mk("r"), mk("s")
-	mj, err := NewMergeJoin(NewHeapSource(r), NewHeapSource(s), "X", "X", nil, nil)
+	mj, err := NewKernelMergeJoin(NewHeapSource(r), NewHeapSource(s), "X", "X", fuzzy.Crisp(0), nil, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	}
 	r, s := mk("r"), mk("s")
 
-	mj, err := NewMergeJoin(NewHeapSource(r), NewHeapSource(s), "X", "X", nil, nil)
+	mj, err := NewKernelMergeJoin(NewHeapSource(r), NewHeapSource(s), "X", "X", fuzzy.Crisp(0), nil, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.Next(); !ok {
+	if _, ok := it.NextBatch(); !ok {
 		t.Fatal("no tuple")
 	}
 	it.Close()
@@ -147,7 +147,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it2.Next(); !ok {
+	if _, ok := it2.NextBatch(); !ok {
 		t.Fatal("no tuple")
 	}
 	it2.Close()
@@ -161,7 +161,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it3.Next(); !ok {
+	if _, ok := it3.NextBatch(); !ok {
 		t.Fatal("no tuple")
 	}
 	it3.Close()

@@ -1,6 +1,10 @@
 package fuzzy
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // AggFunc identifies one of the Fuzzy SQL aggregate functions (Section 6).
 type AggFunc int
@@ -65,7 +69,9 @@ func ParseAggFunc(s string) (AggFunc, error) {
 //   - COUNT returns the (crisp) number of values in the set, including for
 //     the empty set (0);
 //   - SUM is defined by fuzzy addition, AVG by fuzzy addition and division
-//     with the crisp cardinality;
+//     with the crisp cardinality; the values are added in their (A, B, C,
+//     D) corner order, so the floating-point result does not depend on the
+//     order in which an evaluator delivers the set's members;
 //   - MIN and MAX use the defuzzification that orders fuzzy values by the
 //     center of their 1-cuts;
 //   - for an empty set, SUM, AVG, MIN and MAX produce NULL, reported by
@@ -82,9 +88,14 @@ func Aggregate(f AggFunc, set []Member) (result Trapezoid, ok bool) {
 	}
 	switch f {
 	case AggSum, AggAvg:
-		sum := set[0].Value
-		for _, m := range set[1:] {
-			sum = Add(sum, m.Value)
+		vals := make([]Trapezoid, len(set))
+		for i, m := range set {
+			vals[i] = m.Value
+		}
+		slices.SortFunc(vals, compareCorners)
+		sum := vals[0]
+		for _, v := range vals[1:] {
+			sum = Add(sum, v)
 		}
 		if f == AggSum {
 			return sum, true
@@ -109,6 +120,20 @@ func Aggregate(f AggFunc, set []Member) (result Trapezoid, ok bool) {
 	default:
 		panic(fmt.Sprintf("fuzzy: Aggregate of unknown function %d", int(f)))
 	}
+}
+
+// compareCorners orders trapezoids by their corners A, B, C, D.
+func compareCorners(a, b Trapezoid) int {
+	if c := cmp.Compare(a.A, b.A); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.B, b.B); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.C, b.C); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.D, b.D)
 }
 
 // defuzzLess is the total order MIN and MAX select by: the center of the

@@ -39,8 +39,8 @@ type Frame struct {
 // memory buffer of the paper's experiments (2 MB = 256 pages).
 //
 // The pool is safe for concurrent use: a single mutex guards the frame
-// table, the LRU list, and pin counts, so the partition workers of a
-// parallel merge-join (and parallel sort-run writers) can share one pool.
+// table, the LRU list, and pin counts, so the workers of a parallel
+// merge-join (and parallel sort-run writers) can share one pool.
 // Physical page I/O performed on a miss or an eviction happens under the
 // lock, serializing disk access exactly like the single disk arm of the
 // paper's testbed. Frame.Data of a pinned frame may be read or written

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/frel"
 	"repro/internal/fsql"
 )
 
@@ -15,7 +14,7 @@ import (
 // predicate added to the outer block (and, for the uncorrelated class N,
 // to the inner block too). The stock class templates carry no local
 // predicates at all, so against them the fused filter kernels would never
-// fire and a kernels-vs-interpreted differential would be vacuous.
+// fire and a kernel differential would be vacuous.
 // R.A = R.B compares two jittered triangular values generated around the
 // same centre, so the predicate yields genuinely partial degrees rather
 // than a crisp 0/1 cut.
@@ -35,12 +34,12 @@ var kernelQueries = map[string]string{
 const kernelDiffSeeds = 50
 
 // TestDifferentialKernels is the kernel-differential property test: for
-// every nesting class and seed, the unnested evaluation must return
-// bit-identical tuples and degrees (zero tolerance) across three engines —
-// batched with fused degree kernels, batched interpreted, and strict
-// tuple-at-a-time. Each case asserts non-vacuity (the kernels leg actually
-// compiled fused kernels, the ablation legs compiled none) and that the
-// kernel query variants still classify to the class's expected rewrite.
+// every nesting class and seed, the unnested evaluation with fused degree
+// kernels must return the tuples and bit-identical degrees (zero
+// tolerance) of the naive nested evaluation, serially and with 4 morsel
+// workers. Each case asserts non-vacuity (the evaluation actually compiled
+// fused kernels) and that the kernel query variants still classify to the
+// class's expected rewrite.
 func TestDifferentialKernels(t *testing.T) {
 	seeds := int64(kernelDiffSeeds)
 	if testing.Short() {
@@ -73,46 +72,36 @@ func TestDifferentialKernels(t *testing.T) {
 					t.Fatalf("seed %d: parse %q: %v", seed, query, err)
 				}
 
-				eval := func(leg string, disableKernels, disableBatch bool) (*frel.Relation, int64) {
+				newEnv := func() *core.Env {
 					env := core.NewMemEnv()
-					env.DisableKernels = disableKernels
-					env.DisableBatch = disableBatch
 					env.RegisterRelation("R", c.R)
 					env.RegisterRelation("S", c.S)
+					return env
+				}
+				naive, err := newEnv().EvalNaive(q)
+				if err != nil {
+					t.Fatalf("seed %d: naive: %v", seed, err)
+				}
+				for _, workers := range []int{1, 4} {
+					env := newEnv()
+					env.Parallelism = workers
 					if plan := env.Explain(q); plan.Strategy != expectedStrategy[class] {
-						t.Fatalf("seed %d: %s: class %s classified as %v (%s), want %v",
-							seed, leg, class, plan.Strategy, plan.Note, expectedStrategy[class])
+						t.Fatalf("seed %d: workers %d: class %s classified as %v (%s), want %v",
+							seed, workers, class, plan.Strategy, plan.Note, expectedStrategy[class])
 					}
 					res, err := env.EvalUnnested(q)
 					if err != nil {
-						t.Fatalf("seed %d: %s: %v", seed, leg, err)
+						t.Fatalf("seed %d: workers %d: %v", seed, workers, err)
 					}
-					return res, env.Counters.KernelTuples.Load()
-				}
-
-				kern, kt := eval("kernels", false, false)
-				if kt == 0 {
-					t.Fatalf("seed %d: class %s: kernels leg compiled no fused kernels (vacuous differential) on %s",
-						seed, class, query)
-				}
-				interp, it := eval("interpreted", true, false)
-				if it != 0 {
-					t.Fatalf("seed %d: interpreted leg processed %d kernel tuples, want 0", seed, it)
-				}
-				tuple, tt := eval("tuple", true, true)
-				if tt != 0 {
-					t.Fatalf("seed %d: tuple leg processed %d kernel tuples, want 0", seed, tt)
-				}
-
-				if !kern.Equal(interp, 0) {
-					t.Fatalf("seed %d: class %s kernels/interpreted mismatch on %s\nR: %d tuples, S: %d tuples\nkernels (%d tuples):\n%v\ninterpreted (%d tuples):\n%v",
-						seed, class, query, c.R.Len(), c.S.Len(),
-						kern.Len(), kern, interp.Len(), interp)
-				}
-				if !kern.Equal(tuple, 0) {
-					t.Fatalf("seed %d: class %s kernels/tuple mismatch on %s\nR: %d tuples, S: %d tuples\nkernels (%d tuples):\n%v\ntuple (%d tuples):\n%v",
-						seed, class, query, c.R.Len(), c.S.Len(),
-						kern.Len(), kern, tuple.Len(), tuple)
+					if env.Counters.KernelTuples.Load() == 0 {
+						t.Fatalf("seed %d: class %s: workers %d compiled no fused kernels (vacuous differential) on %s",
+							seed, class, workers, query)
+					}
+					if !naive.Equal(res, 0) {
+						t.Fatalf("seed %d: class %s workers %d naive/unnested mismatch on %s\nR: %d tuples, S: %d tuples\nnaive (%d tuples):\n%v\nunnested (%d tuples):\n%v",
+							seed, class, workers, query, c.R.Len(), c.S.Len(),
+							naive.Len(), naive, res.Len(), res)
+					}
 				}
 			}
 		})

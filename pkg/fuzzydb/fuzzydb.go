@@ -45,12 +45,10 @@ import (
 
 // config collects the Open options.
 type config struct {
-	bufferPages    int
-	parallelism    int
-	disableBatch   bool
-	disableKernels bool
-	noWAL          bool
-	groupCommit    time.Duration
+	bufferPages int
+	parallelism int
+	noWAL       bool
+	groupCommit time.Duration
 }
 
 // Option customizes Open.
@@ -69,7 +67,7 @@ func WithBufferPoolPages(pages int) Option {
 }
 
 // WithParallelism sets the worker count for parallel query execution
-// (partitioned merge-joins and sort run generation). 0, the default, uses
+// (morsel-scheduled merge-joins and sort run generation). 0, the default, uses
 // all available CPUs; 1 forces serial execution.
 func WithParallelism(workers int) Option {
 	return func(c *config) error {
@@ -77,29 +75,6 @@ func WithParallelism(workers int) Option {
 			return fmt.Errorf("fuzzydb: negative parallelism %d", workers)
 		}
 		c.parallelism = workers
-		return nil
-	}
-}
-
-// WithTupleAtATime disables the batched execution engine and runs queries
-// through strict tuple-at-a-time iterators. The two modes compute
-// identical answers; this switch exists for comparison and debugging (the
-// batched engine is faster and is the default).
-func WithTupleAtATime() Option {
-	return func(c *config) error {
-		c.disableBatch = true
-		return nil
-	}
-}
-
-// WithInterpretedKernels disables the fused kernel compiler and runs the
-// batched engine through its interpreted closure operators. The two modes
-// compute identical answers; this switch exists for comparison and
-// debugging (compiled kernels are faster and are the default). It is a
-// no-op under WithTupleAtATime, which bypasses the batch engine entirely.
-func WithInterpretedKernels() Option {
-	return func(c *config) error {
-		c.disableKernels = true
 		return nil
 	}
 }
@@ -185,8 +160,6 @@ func Open(dir string, opts ...Option) (*DB, error) {
 		return nil, err
 	}
 	sess.Env.Parallelism = c.parallelism
-	sess.Env.DisableBatch = c.disableBatch
-	sess.Env.DisableKernels = c.disableKernels
 	db := &DB{dir: dir, ownsDir: ownsDir}
 	db.base = &Session{db: db, sess: sess}
 	return db, nil

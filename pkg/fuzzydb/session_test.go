@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -167,6 +169,70 @@ func TestPreparedParams(t *testing.T) {
 	}
 	if _, err := ins.Query(ctx, "x", 1); err == nil {
 		t.Error("Query on a prepared INSERT should fail")
+	}
+}
+
+// answerSet maps each answer row to its degree, so answers compare at zero
+// tolerance regardless of row order (the evaluators emit rows in different
+// orders).
+func answerSet(r *Result) map[string]float64 {
+	m := make(map[string]float64, r.Len())
+	for i := 0; i < r.Len(); i++ {
+		m[strings.Join(r.Row(i), "\x00")] = r.Degree(i)
+	}
+	return m
+}
+
+// TestPreparedTypeJ runs a prepared type J statement whose correlated
+// subquery carries a '?' through Session.Prepare, serially and with four
+// workers. Its answer must equal, at zero tolerance, QueryNaive of the
+// same query with the literal written in, and EXPLAIN ANALYZE of that
+// query must show the morsel-scheduled merge-join.
+func TestPreparedTypeJ(t *testing.T) {
+	const query = `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S WHERE S.A = R.A AND R.K > %s)`
+	var load strings.Builder
+	load.WriteString(`CREATE TABLE R (K NUMBER, A NUMBER, B NUMBER); CREATE TABLE S (K NUMBER, A NUMBER, B NUMBER);`)
+	for i := 0; i < 300; i++ {
+		c, b := float64(i%40), float64(i%7)
+		fmt.Fprintf(&load, "INSERT INTO R VALUES (%d, TRI(%g, %g, %g), TRI(%g, %g, %g));",
+			i, c-1.5, c, c+1, b-1, b, b+2)
+		fmt.Fprintf(&load, "INSERT INTO S VALUES (%d, TRI(%g, %g, %g), TRI(%g, %g, %g));",
+			i, c-1, c+0.5, c+2, b-2, b+0.5, b+1)
+	}
+	ctx := context.Background()
+	for _, workers := range []int{1, 4} {
+		db := openTemp(t, WithParallelism(workers))
+		if err := db.Exec(load.String()); err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.QueryNaive(fmt.Sprintf(query, "120"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 {
+			t.Fatal("naive answer is empty; the comparison would be vacuous")
+		}
+		stmt, err := openSession(t, db).Prepare(fmt.Sprintf(query, "?"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := stmt.Query(ctx, 120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := answerSet(got), answerSet(want); !maps.Equal(g, w) {
+			t.Errorf("workers %d: prepared answer differs from QueryNaive (%d vs %d rows)\n%s\n%s",
+				workers, got.Len(), want.Len(), got, want)
+		}
+		stmt.Close()
+		_, st, err := db.ExplainAnalyze(fmt.Sprintf(query, "120"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mj := st.Plan.Find("merge-join")
+		if mj == nil || mj.Morsels == 0 {
+			t.Errorf("workers %d: no morsel-scheduled merge-join in:\n%s", workers, st)
+		}
 	}
 }
 
