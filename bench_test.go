@@ -149,11 +149,11 @@ func ablationRelations(b *testing.B, n int, width float64) (outer, inner *frel.R
 		b.Fatal(err)
 	}
 	for _, rel := range []*frel.Relation{r, s} {
-		less, err := extsort.ByAttr(rel.Schema, "B")
+		order, err := extsort.ByAttr(rel.Schema, "B")
 		if err != nil {
 			b.Fatal(err)
 		}
-		extsort.SortRelation(rel, less)
+		rel.Tuples, _ = extsort.SortTuples(rel.Tuples, order)
 	}
 	return r, s
 }
@@ -221,11 +221,11 @@ func BenchmarkAblationIntervalWidth(b *testing.B) {
 						s.Tuples[i].Values[bi] = frel.Num(fuzzy.Tri(v.B-5000, v.B, v.B+5000))
 					}
 				}
-				less, err := extsort.ByAttr(s.Schema, "B")
+				order, err := extsort.ByAttr(s.Schema, "B")
 				if err != nil {
 					b.Fatal(err)
 				}
-				extsort.SortRelation(s, less)
+				s.Tuples, _ = extsort.SortTuples(s.Tuples, order)
 			}
 			var c exec.Counters
 			b.ResetTimer()
@@ -259,13 +259,13 @@ func BenchmarkAblationParallelSort(b *testing.B) {
 				if err := h.AppendAll(rel); err != nil {
 					b.Fatal(err)
 				}
-				less, err := extsort.ByAttr(h.Schema, "B")
+				order, err := extsort.ByAttr(h.Schema, "B")
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
 				sorter := extsort.NewSorter(mgr, 4).WithParallelism(workers)
-				if _, _, err := sorter.Sort(h, less); err != nil {
+				if _, _, err := sorter.Sort(h, order); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -388,12 +388,12 @@ func BenchmarkExternalSort(b *testing.B) {
 		if err := h.AppendAll(rel); err != nil {
 			b.Fatal(err)
 		}
-		less, err := extsort.ByAttr(h.Schema, "B")
+		order, err := extsort.ByAttr(h.Schema, "B")
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, _, err := extsort.NewSorter(mgr, 8).Sort(h, less); err != nil {
+		if _, _, err := extsort.NewSorter(mgr, 8).Sort(h, order); err != nil {
 			b.Fatal(err)
 		}
 	}

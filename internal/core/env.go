@@ -70,11 +70,10 @@ type Env struct {
 
 	// Sort-order cache state; see sortcache.go for the keying and
 	// invalidation contract. All maps are lazily initialized.
-	sortMem   map[sortKey]*memSortEntry
-	sortHeap  map[sortKey]*heapSortEntry
+	sortCache map[sortKey]*sortEntry
+	stmtRuns  []*extsort.RunSet // run sets to drop when the statement ends
 	memBase   map[*frel.Relation]*frel.Relation
 	aliasMemo map[string]*aliasEntry
-	heapSeen  map[*storage.HeapFile]bool
 
 	// ctx, when non-nil, is observed by the leaf scans of every evaluation
 	// (set for the duration of a *Context evaluation call).
@@ -246,18 +245,16 @@ func (e *Env) ScopedTerms() []string {
 }
 
 // ReleaseSortCache drops the environment's cached sort orders, deleting
-// the sorted temporary heap files held by the external side of the cache.
-// Sessions forked off a long-running database call it on close so
-// per-connection caches do not accumulate temporary files.
+// the run files held by the external side of the cache. Sessions call it
+// on close so caches do not leave temporary files behind.
 func (e *Env) ReleaseSortCache() {
-	for _, ent := range e.sortHeap {
-		_ = ent.sorted.Drop() // best-effort cleanup
+	for _, ent := range e.sortCache {
+		e.retire(ent.runs)
 	}
-	e.sortHeap = nil
-	e.sortMem = nil
+	e.dropStatementRuns()
+	e.sortCache = nil
 	e.memBase = nil
 	e.aliasMemo = nil
-	e.heapSeen = nil
 }
 
 // source resolves a FROM-clause relation reference to an exec.Source
@@ -279,7 +276,6 @@ func (e *Env) source(tr fsql.TableRef) (exec.Source, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.noteHeap(h)
 		var src exec.Source
 		if e.snap != nil && !e.snap.Live(h) {
 			sn, ok := e.snap.Lookup(h)
@@ -368,150 +364,92 @@ type renameSource struct {
 
 func (r *renameSource) Schema() *frel.Schema { return r.schema }
 
-// external reports whether the environment has disk-backed storage for
-// spills and external sorts.
-func (e *Env) external() bool { return e.cat != nil }
-
-// sortSource returns src sorted on attr: externally (through temp heap
-// files, charging I/O) when a storage manager is available, in memory
-// otherwise. total selects the CompareTotal tie-broken order needed by the
-// group-aggregate join. Plain scans of base relations go through the
-// sort-order cache (see sortcache.go): a repeat sort of an unmodified
-// relation is served from the cached permutation without re-sorting, and a
-// cold sort of a relation carrying a persistent order index on the
-// attribute is served from the index (see indexscan.go) without sorting at
-// all.
+// sortSource returns src stably sorted on attr (total: the CompareTotal
+// order the group-aggregate join needs). A base relation's order comes
+// from the sort-order cache (sortcache.go) or an order index
+// (indexscan.go) when it can. Otherwise a disk-backed environment sorts
+// src's stream into runs and serves their streamed merge, and an
+// in-memory one sorts in memory.
 func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source, error) {
-	var less extsort.Less
-	var err error
+	byAttr := extsort.ByAttr
 	if total {
-		less, err = extsort.ByAttrTotal(src.Schema(), attr)
-	} else {
-		less, err = extsort.ByAttr(src.Schema(), attr)
+		byAttr = extsort.ByAttrTotal
 	}
+	order, err := byAttr(src.Schema(), attr)
 	if err != nil {
 		return nil, err
 	}
-	attrIdx, err := src.Schema().Resolve(attr)
-	if err != nil {
-		return nil, err
+	attrIdx, _ := src.Schema().Resolve(attr)
+	memBase, heapBase, version := e.cacheableBase(src)
+	key := sortKey{mem: memBase, heap: heapBase, attr: attrIdx, total: total}
+	cacheable := memBase != nil || heapBase != nil
+	node := e.newNode("sort", attr)
+	if ent, ok := e.sortCache[key]; ok && ent.version == version {
+		e.Counters.SortCacheHits.Add(1)
+		if node != nil {
+			node.CacheHits.Store(1)
+		}
+		return e.attach(node, e.sortedSource(src, ent, node), src), nil
 	}
-	memSrc, memBase, heapBase := e.cacheableBase(src)
-	if memBase != nil {
-		return e.memSort(src, memSrc, memBase, attr, attrIdx, total, less)
+	if heapBase != nil {
+		if out, ok, err := e.indexSorted(src, heapBase, attr, attrIdx, total); err != nil || ok {
+			return out, err
+		}
 	}
-	if e.external() {
-		if heapBase != nil {
-			key := sortKey{heap: heapBase, attr: attrIdx, total: total}
-			// An order loaded from a persistent index lives in the memory
-			// side of the cache; repeat sorts of the unmodified heap replay
-			// it without touching the index again.
-			if ent, ok := e.sortMem[key]; ok && ent.version == e.heapVersion(heapBase) {
-				e.Counters.SortCacheHits.Add(1)
-				rel := &frel.Relation{Schema: src.Schema(), Tuples: ent.tuples}
-				out := exec.WithContext(e.ctx, exec.NewKeyedMemSource(rel, ent.keys))
-				if node := e.newNode("sort", attr); node != nil {
-					node.CacheHits.Store(1)
-					out = e.attach(node, out, src)
-				}
-				return out, nil
-			}
-			if ent, ok := e.sortHeap[key]; ok && ent.version == e.heapVersion(heapBase) {
-				e.Counters.SortCacheHits.Add(1)
-				var out exec.Source = &renameSource{Source: exec.NewHeapSource(ent.sorted), schema: src.Schema()}
-				out = exec.WithContext(e.ctx, out)
-				if node := e.newNode("sort", attr); node != nil {
-					node.CacheHits.Store(1)
-					out = e.attach(node, out, src)
-				}
-				return out, nil
-			}
-			if out, ok, err := e.indexSorted(src, heapBase, attr, attrIdx, total); err != nil {
-				return nil, err
-			} else if ok {
-				return out, nil
-			}
-		}
-		mgr := e.cat.Manager()
-		sorter := extsort.NewSorter(mgr, e.SortMemPages).WithParallelism(e.workers())
-		var sorted *storage.HeapFile
-		var st extsort.Stats
-		var elapsed time.Duration
-		if heapBase != nil {
-			// A plain base-heap scan needs no pre-sort spill — the spill
-			// would be a verbatim copy of the heap — so the sorter reads the
-			// base directly, bounded by the scan's snapshot limit. This
-			// halves the write traffic of a cold sort.
-			start := time.Now()
-			iosBefore := mgr.Stats().IO()
-			sorted, st, err = sorter.SortPrefix(heapBase, heapScanLimit(src), less)
-			if err != nil {
-				return nil, err
-			}
-			elapsed = time.Since(start)
-			e.Phases.SortIOs += mgr.Stats().IO() - iosBefore
-		} else {
-			tmp, err := exec.Spill(mgr, src)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			iosBefore := mgr.Stats().IO()
-			sorted, st, err = sorter.Sort(tmp, less)
-			if err != nil {
-				return nil, err
-			}
-			elapsed = time.Since(start)
-			e.Phases.SortIOs += mgr.Stats().IO() - iosBefore
-			if derr := tmp.Drop(); derr != nil {
-				return nil, derr
-			}
-		}
-		e.Phases.SortWall += elapsed
-		e.Counters.Comparisons.Add(st.Comparisons)
-		miss := heapBase != nil
-		if miss {
-			key := sortKey{heap: heapBase, attr: attrIdx, total: total}
-			// Keyed by the version the evaluation saw: a bounded snapshot
-			// scan's sorted copy must only serve readers of that snapshot
-			// state, never the live (possibly further-appended) heap.
-			e.storeHeapSort(key, &heapSortEntry{version: e.heapVersion(heapBase), sorted: sorted})
-			e.Counters.SortCacheMisses.Add(1)
-		}
-		out := exec.Source(exec.NewHeapSource(sorted))
-		if heapBase != nil {
-			// The directly sorted heap carries the base schema; restore the
-			// source's (possibly aliased) schema, as the cache-hit path does.
-			out = &renameSource{Source: out, schema: src.Schema()}
-		}
-		if node := e.newNode("sort", attr); node != nil {
-			node.SortRuns.Store(int64(st.Runs))
-			node.MergePasses.Store(int64(st.MergePasses))
-			node.SpillBytes.Store(st.SpillBytes)
-			node.Comparisons.Store(st.Comparisons)
-			node.WallNanos.Store(elapsed.Nanoseconds())
-			if miss {
-				node.CacheMisses.Store(1)
-			}
-			out = e.attach(node, out, src)
-		}
-		return out, nil
-	}
-	rel, err := exec.Collect(src)
-	if err != nil {
-		return nil, err
-	}
-	rel = rel.Clone()
+	ent := &sortEntry{version: version}
+	var st extsort.Stats
 	start := time.Now()
-	cmp := extsort.SortRelation(rel, less)
-	e.Counters.Comparisons.Add(cmp)
+	if e.cat != nil && memBase == nil {
+		mgr := e.cat.Manager()
+		ios := mgr.Stats().IO()
+		it, err := src.Open()
+		if err != nil {
+			return nil, err
+		}
+		ent.runs, st, err = extsort.NewSorter(mgr, e.SortMemPages).WithParallelism(e.workers()).SortRuns(it, src.Schema(), order)
+		it.Close()
+		if err != nil {
+			return nil, err
+		}
+		e.Phases.SortIOs += mgr.Stats().IO() - ios
+	} else {
+		rel := memBase
+		if rel == nil {
+			if rel, err = exec.Collect(src); err != nil {
+				return nil, err
+			}
+		}
+		ent.tuples, st.Comparisons = extsort.SortTuples(rel.Tuples, order)
+		ent.keys = frel.SupportKeys(ent.tuples, attrIdx)
+	}
 	elapsed := time.Since(start)
 	e.Phases.SortWall += elapsed
-	out := exec.Source(exec.NewMemSource(rel))
-	if node := e.newNode("sort", attr); node != nil {
-		node.Comparisons.Store(cmp)
-		node.WallNanos.Store(elapsed.Nanoseconds())
-		out = e.attach(node, out, src)
+	e.Counters.Comparisons.Add(st.Comparisons)
+	if cacheable {
+		e.storeSort(key, ent)
+		e.Counters.SortCacheMisses.Add(1)
+	} else {
+		e.retire(ent.runs) // an uncached run set lives for the statement
 	}
-	return out, nil
+	if node != nil {
+		node.SortRuns.Store(int64(st.Runs))
+		node.MergePasses.Store(int64(st.MergePasses))
+		node.SpillBytes.Store(st.SpillBytes)
+		node.Comparisons.Store(st.Comparisons)
+		node.WallNanos.Store(elapsed.Nanoseconds())
+		if cacheable {
+			node.CacheMisses.Store(1)
+		}
+	}
+	return e.attach(node, e.sortedSource(src, ent, node), src), nil
+}
+
+// sortedSource serves a sort result under src's (possibly aliased) schema:
+// the stored tuples with their key column, or the run set's merge.
+func (e *Env) sortedSource(src exec.Source, ent *sortEntry, node *exec.OpStats) exec.Source {
+	if ent.runs != nil {
+		return exec.WithContext(e.ctx, &runSource{e: e, runs: ent.runs, schema: src.Schema(), node: node})
+	}
+	rel := &frel.Relation{Schema: src.Schema(), Tuples: ent.tuples}
+	return exec.WithContext(e.ctx, exec.NewKeyedMemSource(rel, ent.keys))
 }

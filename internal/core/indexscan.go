@@ -101,7 +101,7 @@ func (e *Env) indexSorted(src exec.Source, base *storage.HeapFile, attr string, 
 	}
 	keys := frel.SupportKeys(tuples, attrIdx)
 	key := sortKey{heap: base, attr: attrIdx, total: total}
-	e.storeMemSort(key, &memSortEntry{version: e.heapVersion(base), tuples: tuples, keys: keys})
+	e.storeSort(key, &sortEntry{version: e.heapVersion(base), tuples: tuples, keys: keys})
 	e.Counters.IndexHits.Add(1)
 	srel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
 	out := exec.Source(exec.WithContext(e.ctx, exec.NewKeyedMemSource(srel, keys)))

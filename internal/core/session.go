@@ -544,11 +544,11 @@ func OpenSessionOptions(dir string, opts SessionOptions) (*Session, error) {
 	return NewSession(cat), nil
 }
 
-// Close releases the session's resources. A base session closes the
-// shared file handles (heap files and the write-ahead log) without
-// checkpointing: committed work replays from the log on the next open. A
-// forked session only drops its cached sort temporaries — the shared
-// storage stays open for its parent and siblings.
+// Close releases the session's resources. Every session drops its cached
+// sort runs. A base session then closes the shared file handles (heap
+// files and the write-ahead log) without checkpointing: committed work
+// replays from the log on the next open. A forked session stops there —
+// the shared storage stays open for its parent and siblings.
 // A session closed with a transaction still open rolls it back first
 // (a client that disconnects mid-transaction must not leave its writes
 // behind).
@@ -557,8 +557,8 @@ func (s *Session) Close() error {
 	if s.txn != nil {
 		first = s.rollbackTxn()
 	}
+	s.Env.ReleaseSortCache()
 	if s.forked {
-		s.Env.ReleaseSortCache()
 		return first
 	}
 	if err := s.cat.Manager().Close(); err != nil && first == nil {

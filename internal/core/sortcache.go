@@ -13,9 +13,10 @@ import (
 // must be sorted by the Definition 3.1 interval order, and the paper's
 // workloads sort the same base relations on the same attributes query
 // after query. The environment therefore caches, per (base relation,
-// attribute, order), the sorted permutation together with the flat
-// support-interval key column the merge-join reads, and
-// reuses it as long as the base relation has not been mutated.
+// attribute, order), either the sorted tuples with the flat
+// support-interval key column the merge-join reads (in-memory bases and
+// index-served heaps) or the run set of an external sort, whose merge a
+// hit re-streams, and reuses it as long as the base has not been mutated.
 //
 // Keying and invalidation contract:
 //
@@ -34,12 +35,13 @@ import (
 //     itself (no filters or joins in between), since a filtered stream's
 //     sorted order is not the base relation's.
 //
-// Entry counts are bounded by wholesale eviction (sortCacheMaxEntries);
-// sorted heap files belonging to evicted entries are dropped best-effort.
+// Entry counts are bounded by wholesale eviction (sortCacheMaxEntries).
+// The run files of displaced entries, like those of uncached sorts, are
+// dropped when the statement ends, and ReleaseSortCache drops the rest.
 
 const (
-	// sortCacheMaxEntries bounds each of the two entry maps; exceeding it
-	// wipes the map (simple, and workloads touch few distinct orders).
+	// sortCacheMaxEntries bounds the entry map; exceeding it wipes the
+	// map (simple, and workloads touch few distinct orders).
 	sortCacheMaxEntries = 64
 	// baseMapMaxEntries bounds the bookkeeping maps that track cacheable
 	// base pointers and memoized alias wrappers.
@@ -56,19 +58,14 @@ type sortKey struct {
 	total bool
 }
 
-// memSortEntry is a cached in-memory sort: the sorted tuple slice and its
-// precomputed support-interval key column.
-type memSortEntry struct {
+// sortEntry is one cached sort order: the sorted tuples with their
+// support-key column (in-memory bases and index-served heaps), or the run
+// set of an external sort, whose merge every hit re-streams.
+type sortEntry struct {
 	version uint64
 	tuples  []frel.Tuple
 	keys    []frel.SupportKey
-}
-
-// heapSortEntry is a cached external sort: the sorted temporary heap file,
-// kept (not dropped) while fresh.
-type heapSortEntry struct {
-	version uint64
-	sorted  *storage.HeapFile
+	runs    *extsort.RunSet
 }
 
 // aliasEntry memoizes the alias wrapper built around a registered base
@@ -84,32 +81,16 @@ type aliasEntry struct {
 // noteMemBase records that rel (possibly an alias wrapper) reads the
 // registered base relation base.
 func (e *Env) noteMemBase(rel, base *frel.Relation) {
-	if e.memBase == nil {
-		e.memBase = make(map[*frel.Relation]*frel.Relation)
-	} else if len(e.memBase) >= baseMapMaxEntries {
+	if e.memBase == nil || len(e.memBase) >= baseMapMaxEntries {
 		e.memBase = make(map[*frel.Relation]*frel.Relation)
 	}
 	e.memBase[rel] = base
-}
-
-// noteHeap records that h is a catalog base relation — cacheable, as
-// opposed to a temporary spill file.
-func (e *Env) noteHeap(h *storage.HeapFile) {
-	if e.heapSeen == nil {
-		e.heapSeen = make(map[*storage.HeapFile]bool)
-	} else if len(e.heapSeen) >= baseMapMaxEntries {
-		e.heapSeen = make(map[*storage.HeapFile]bool)
-	}
-	e.heapSeen[h] = true
 }
 
 // aliasRel returns the memoized alias wrapper for base under aliasKey,
 // refreshing its tuple slice when the base has been mutated since the
 // wrapper was built.
 func (e *Env) aliasRel(nameKey, aliasKey string, base *frel.Relation) *frel.Relation {
-	if e.aliasMemo == nil {
-		e.aliasMemo = make(map[string]*aliasEntry)
-	}
 	k := nameKey + "\x00" + aliasKey
 	if ent, ok := e.aliasMemo[k]; ok && ent.base == base {
 		if ent.version != base.Version() {
@@ -119,7 +100,7 @@ func (e *Env) aliasRel(nameKey, aliasKey string, base *frel.Relation) *frel.Rela
 		}
 		return ent.wrapper
 	}
-	if len(e.aliasMemo) >= baseMapMaxEntries {
+	if e.aliasMemo == nil || len(e.aliasMemo) >= baseMapMaxEntries {
 		e.aliasMemo = make(map[string]*aliasEntry)
 	}
 	w := &frel.Relation{Schema: base.Schema.WithName(aliasKey), Tuples: base.Tuples}
@@ -127,97 +108,90 @@ func (e *Env) aliasRel(nameKey, aliasKey string, base *frel.Relation) *frel.Rela
 	return w
 }
 
-// cacheableBase resolves src to a cacheable base relation: a plain scan of
-// a registered in-memory relation or of a catalog heap file. Exactly one
-// of the returns is non-nil on success.
-func (e *Env) cacheableBase(src exec.Source) (memSrc *exec.MemSource, memBase *frel.Relation, heap *storage.HeapFile) {
-	switch s := exec.Unwrap(src).(type) {
+// cacheableBase resolves src to a cacheable base relation — a plain scan
+// of a registered in-memory relation or of a catalog heap file, at most
+// one of them non-nil — and the base's version as the evaluation sees it.
+func (e *Env) cacheableBase(src exec.Source) (*frel.Relation, *storage.HeapFile, uint64) {
+	s := exec.Unwrap(src)
+	if r, ok := s.(*renameSource); ok {
+		s = exec.Unwrap(r.Source)
+	}
+	switch s := s.(type) {
 	case *exec.MemSource:
-		if b, ok := e.memBase[s.Rel]; ok {
-			return s, b, nil
+		if b := e.memBase[s.Rel]; b != nil {
+			return b, nil, b.Version()
 		}
 	case *exec.HeapSource:
-		if e.heapSeen[s.Heap] {
-			return nil, nil, s.Heap
-		}
-	case *renameSource:
-		if hs, ok := exec.Unwrap(s.Source).(*exec.HeapSource); ok && e.heapSeen[hs.Heap] {
-			return nil, nil, hs.Heap
-		}
+		return nil, s.Heap, e.heapVersion(s.Heap)
 	}
-	return nil, nil, nil
+	return nil, nil, 0
 }
 
-// heapScanLimit returns the snapshot bound of the plain heap scan src
-// resolves to (-1 when the scan is unbounded), mirroring cacheableBase's
-// unwrapping. Callers pass it to SortPrefix so sorting a base heap
-// directly still sees only the snapshot's committed prefix.
-func heapScanLimit(src exec.Source) int64 {
-	switch s := exec.Unwrap(src).(type) {
-	case *exec.HeapSource:
-		return s.Limit
-	case *renameSource:
-		if hs, ok := exec.Unwrap(s.Source).(*exec.HeapSource); ok {
-			return hs.Limit
+// storeSort caches ent under k. Run sets it displaces (a stale version, or
+// a wholesale eviction) are retired, not dropped: a merge of the current
+// statement may still be streaming them.
+func (e *Env) storeSort(k sortKey, ent *sortEntry) {
+	if e.sortCache == nil || len(e.sortCache) >= sortCacheMaxEntries {
+		for _, old := range e.sortCache {
+			e.retire(old.runs)
 		}
+		e.sortCache = make(map[sortKey]*sortEntry)
+	} else if old, ok := e.sortCache[k]; ok {
+		e.retire(old.runs)
 	}
-	return -1
+	e.sortCache[k] = ent
 }
 
-func (e *Env) storeMemSort(k sortKey, ent *memSortEntry) {
-	if e.sortMem == nil || len(e.sortMem) >= sortCacheMaxEntries {
-		e.sortMem = make(map[sortKey]*memSortEntry)
+// retire schedules a run set for dropping when the statement ends.
+func (e *Env) retire(runs *extsort.RunSet) {
+	if runs != nil {
+		e.stmtRuns = append(e.stmtRuns, runs)
 	}
-	e.sortMem[k] = ent
 }
 
-func (e *Env) storeHeapSort(k sortKey, ent *heapSortEntry) {
-	if e.sortHeap == nil {
-		e.sortHeap = make(map[sortKey]*heapSortEntry)
+// dropStatementRuns drops the run sets retired or left uncached by the
+// statement that just ended (best-effort cleanup).
+func (e *Env) dropStatementRuns() {
+	for _, rs := range e.stmtRuns {
+		_ = rs.Drop()
 	}
-	if old, ok := e.sortHeap[k]; ok {
-		_ = old.sorted.Drop() // stale sorted copy, best-effort cleanup
-	} else if len(e.sortHeap) >= sortCacheMaxEntries {
-		for _, o := range e.sortHeap {
-			_ = o.sorted.Drop()
-		}
-		e.sortHeap = make(map[sortKey]*heapSortEntry)
-	}
-	e.sortHeap[k] = ent
+	e.stmtRuns = nil
 }
 
-// memSort serves src sorted on attr through the in-memory side of the
-// sort cache: a hit replays the cached permutation (with its key column)
-// without re-sorting; a miss sorts a shallow copy of the base's tuples,
-// computes the keys, and stores both.
-func (e *Env) memSort(src exec.Source, ms *exec.MemSource, base *frel.Relation, attr string, attrIdx int, total bool, less extsort.Less) (exec.Source, error) {
-	key := sortKey{mem: base, attr: attrIdx, total: total}
-	if ent, ok := e.sortMem[key]; ok && ent.version == base.Version() {
-		e.Counters.SortCacheHits.Add(1)
-		rel := &frel.Relation{Schema: src.Schema(), Tuples: ent.tuples}
-		out := exec.WithContext(e.ctx, exec.NewKeyedMemSource(rel, ent.keys))
-		if node := e.newNode("sort", attr); node != nil {
-			node.CacheHits.Store(1)
-			out = e.attach(node, out, src)
-		}
-		return out, nil
+// runSource streams the merge of a run set; every Open starts a fresh
+// merge, and merges over one run set may be open at once. The merge's
+// wall, page I/O and key comparisons are charged to the sort phase, the
+// comparison counter and the sort node as batches are pulled.
+type runSource struct {
+	e      *Env
+	runs   *extsort.RunSet
+	schema *frel.Schema
+	node   *exec.OpStats
+}
+
+func (s *runSource) Schema() *frel.Schema { return s.schema }
+
+func (s *runSource) Open() (exec.BatchIterator, error) {
+	return &runIterator{Merger: s.runs.Merge(), runSource: s}, nil
+}
+
+type runIterator struct {
+	*extsort.Merger
+	*runSource
+	cmp int64 // comparisons already charged
+}
+
+func (it *runIterator) NextBatch() ([]frel.Tuple, bool) {
+	stats := it.e.cat.Manager().Stats()
+	start, ios := time.Now(), stats.IO()
+	b, ok := it.Merger.NextBatch()
+	it.e.Phases.SortWall += time.Since(start)
+	it.e.Phases.SortIOs += stats.IO() - ios
+	cmp := it.Comparisons() - it.cmp
+	it.cmp += cmp
+	it.e.Counters.Comparisons.Add(cmp)
+	if it.node != nil {
+		it.node.Comparisons.Add(cmp)
 	}
-	tuples := append([]frel.Tuple(nil), ms.Rel.Tuples...)
-	rel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
-	start := time.Now()
-	cmp := extsort.SortRelation(rel, less)
-	elapsed := time.Since(start)
-	e.Counters.Comparisons.Add(cmp)
-	e.Phases.SortWall += elapsed
-	keys := frel.SupportKeys(tuples, attrIdx)
-	e.storeMemSort(key, &memSortEntry{version: base.Version(), tuples: tuples, keys: keys})
-	e.Counters.SortCacheMisses.Add(1)
-	out := exec.WithContext(e.ctx, exec.NewKeyedMemSource(rel, keys))
-	if node := e.newNode("sort", attr); node != nil {
-		node.Comparisons.Store(cmp)
-		node.WallNanos.Store(elapsed.Nanoseconds())
-		node.CacheMisses.Store(1)
-		out = e.attach(node, out, src)
-	}
-	return out, nil
+	return b, ok
 }

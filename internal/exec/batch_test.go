@@ -228,15 +228,18 @@ func TestBatchPipelineAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchHeapSourceAndSpill round-trips a relation through Spill and the
-// batched heap scan: mem -> heap file -> batches must preserve the tuple
-// sequence.
+// TestBatchHeapSourceAndSpill round-trips a relation through a temporary
+// heap file and the batched heap scan: mem -> heap file -> batches must
+// preserve the tuple sequence.
 func TestBatchHeapSourceAndSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	r := randomRel("R", 3000, 1000, 2, rng)
 	mgr := storage.NewManager(t.TempDir(), 8)
-	h, err := Spill(mgr, NewMemSource(r))
+	h, err := mgr.CreateTemp(r.Schema)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.AppendAll(r); err != nil {
 		t.Fatal(err)
 	}
 	defer h.Drop()

@@ -95,11 +95,11 @@ func randomCorrelated(rng *rand.Rand, nOut, nIn int) (*frel.Relation, *frel.Rela
 func totalSortedSource(t *testing.T, r *frel.Relation, attr string) Source {
 	t.Helper()
 	c := r.Clone()
-	less, err := extsort.ByAttrTotal(c.Schema, attr)
+	order, err := extsort.ByAttrTotal(c.Schema, attr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	extsort.SortRelation(c, less)
+	c.Tuples, _ = extsort.SortTuples(c.Tuples, order)
 	return NewMemSource(c)
 }
 

@@ -42,11 +42,11 @@ func randomRel(name string, n int, span, maxWidth float64, rng *rand.Rand) *frel
 func sortedSource(t *testing.T, r *frel.Relation, attr string) Source {
 	t.Helper()
 	c := r.Clone()
-	less, err := extsort.ByAttr(c.Schema, attr)
+	order, err := extsort.ByAttr(c.Schema, attr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	extsort.SortRelation(c, less)
+	c.Tuples, _ = extsort.SortTuples(c.Tuples, order)
 	return NewMemSource(c)
 }
 

@@ -141,32 +141,6 @@ func Collect(src Source) (*frel.Relation, error) {
 	return out, it.Err()
 }
 
-// Spill drains a source into a new temporary heap file owned by the
-// caller.
-func Spill(mgr *storage.Manager, src Source) (*storage.HeapFile, error) {
-	it, err := src.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	h, err := mgr.CreateTemp(src.Schema())
-	if err != nil {
-		return nil, err
-	}
-	for {
-		b, ok := it.NextBatch()
-		if !ok {
-			break
-		}
-		for _, t := range b {
-			if err := h.Append(t); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return h, it.Err()
-}
-
 // MemSource serves tuples from an in-memory relation.
 type MemSource struct {
 	Rel *frel.Relation

@@ -1,20 +1,23 @@
-// Package extsort implements a memory-bounded external merge sort over
-// heap files of fuzzy tuples. It plays the role of the commercial Opt-Tech
-// external sort used in the paper's experiments (Section 9): run generation
-// within a caller-specified amount of memory followed by k-way merging.
+// Package extsort implements a memory-bounded external merge sort of
+// fuzzy tuples. It plays the role of the commercial Opt-Tech external sort
+// used in the paper's experiments (Section 9): run generation within a
+// caller-specified amount of memory followed by k-way merging.
 //
-// The extended merge-join sorts relations on the Definition 3.1 interval
-// order of the join attribute; as the paper notes (Section 3), comparing
-// two tuples may take two comparisons (begin points, then end points), and
-// the sort is otherwise a standard O(n log n) external sort. With a memory
-// budget comparable to the relation size the sort completes in one merge
-// pass (two I/O passes over the data), matching the paper's linear-I/O
-// assumption.
+// The extended merge-join sorts on the Definition 3.1 interval order of
+// the join attribute (begin points, then end points; Section 3). Run
+// generation sorts a flat key column — the order's key fields plus the
+// tuple's input position — instead of the tuples, then writes the tuples
+// to the run once, in key order. The k-way merge is a heap on the same
+// keys with ties broken by run index, so the sort is stable across runs.
+// The last merge pass is pipelined: SortRuns stops at no more than fan-in
+// runs and a Merger streams their merge, tuples plus support keys, into
+// the consumer. The write pass therefore covers the runs only.
 package extsort
 
 import (
-	"container/heap"
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -22,45 +25,116 @@ import (
 	"repro/internal/storage"
 )
 
-// Less orders tuples; it must be a strict weak ordering.
-type Less func(a, b frel.Tuple) bool
+// Order is a stable sort order on one attribute: numbers by the
+// Definition 3.1 interval order (support begin, then end), optionally
+// tie-broken by the core corners (frel.CompareTotal), strings
+// lexicographically. Remaining ties keep input order.
+type Order struct {
+	idx        int
+	str, total bool
+}
 
-// ByAttr returns a Less ordering tuples of the given schema by the named
-// attribute under the Definition 3.1 interval order (strings
-// lexicographically).
-func ByAttr(schema *frel.Schema, attr string) (Less, error) {
+// ByAttr returns the Definition 3.1 order (lexicographic for strings) on
+// the named attribute of schema.
+func ByAttr(schema *frel.Schema, attr string) (Order, error) {
 	i, err := schema.Resolve(attr)
 	if err != nil {
-		return nil, err
+		return Order{}, err
 	}
-	return func(a, b frel.Tuple) bool {
-		return frel.Compare(a.Values[i], b.Values[i]) < 0
-	}, nil
+	return Order{idx: i, str: schema.Attrs[i].Kind == frel.KindString}, nil
 }
 
 // ByAttrTotal is like ByAttr but breaks Definition 3.1 ties by the full
 // corner representation (frel.CompareTotal), so tuples with identical
 // values end up adjacent — the order the group-aggregate join requires.
-func ByAttrTotal(schema *frel.Schema, attr string) (Less, error) {
-	i, err := schema.Resolve(attr)
-	if err != nil {
-		return nil, err
+func ByAttrTotal(schema *frel.Schema, attr string) (Order, error) {
+	o, err := ByAttr(schema, attr)
+	o.total = true
+	return o, err
+}
+
+// key is one tuple's flat sort key: support begin a and end d, core
+// corners b and c (total orders) or string s, and seq, the input position
+// during run generation and the run index during a merge.
+type key struct {
+	a, d, b, c float64
+	s          string
+	seq        int
+}
+
+func (o Order) key(t frel.Tuple, seq int) key {
+	v := t.Values[o.idx]
+	if o.str {
+		return key{s: v.Str, seq: seq}
 	}
-	return func(a, b frel.Tuple) bool {
-		return frel.CompareTotal(a.Values[i], b.Values[i]) < 0
-	}, nil
+	return key{a: v.Num.A, d: v.Num.D, b: v.Num.B, c: v.Num.C, seq: seq}
+}
+
+// compare orders two keys by o, then by seq.
+func (o Order) compare(x, y *key) int {
+	if o.str {
+		if c := strings.Compare(x.s, y.s); c != 0 {
+			return c
+		}
+	} else if c := cmp.Compare(x.a, y.a); c != 0 {
+		return c
+	} else if c := cmp.Compare(x.d, y.d); c != 0 {
+		return c
+	} else if o.total {
+		if c := cmp.Compare(x.b, y.b); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.c, y.c); c != 0 {
+			return c
+		}
+	}
+	return x.seq - y.seq
+}
+
+// sortKeys returns the key column of tuples in sorted order and the key
+// comparisons it took. The sequence tie-break makes the unstable
+// slices.SortFunc produce the stable order.
+func (o Order) sortKeys(tuples []frel.Tuple) ([]key, int64) {
+	keys := make([]key, len(tuples))
+	for i, t := range tuples {
+		keys[i] = o.key(t, i)
+	}
+	var n int64
+	slices.SortFunc(keys, func(x, y key) int {
+		n++
+		return o.compare(&x, &y)
+	})
+	return keys, n
+}
+
+// SortTuples returns tuples stably sorted by o in a new slice, and the
+// key comparisons it took. It backs the engine's in-memory sorts.
+func SortTuples(tuples []frel.Tuple, o Order) ([]frel.Tuple, int64) {
+	keys, n := o.sortKeys(tuples)
+	out := make([]frel.Tuple, len(keys))
+	for i, k := range keys {
+		out[i] = tuples[k.seq]
+	}
+	return out, n
 }
 
 // Stats reports the work a sort performed.
 type Stats struct {
 	Tuples      int64 // tuples sorted
 	Runs        int   // initial sorted runs generated
-	MergePasses int   // k-way merge passes over the data
-	Comparisons int64 // calls to Less
+	MergePasses int   // k-way merge passes, the streamed final one included
+	Comparisons int64 // key comparisons
 	SpillBytes  int64 // tuple bytes written to temporary run files
 }
 
-// Sorter sorts heap files with a fixed memory budget.
+// Input is a stream of tuple batches (exec.BatchIterator satisfies it).
+// A batch is only read until the next NextBatch call.
+type Input interface {
+	NextBatch() ([]frel.Tuple, bool)
+	Err() error
+}
+
+// Sorter sorts tuple streams with a fixed memory budget.
 type Sorter struct {
 	mgr      *storage.Manager
 	memPages int
@@ -71,284 +145,298 @@ type Sorter struct {
 // tuple memory for run generation and memPages-1 fan-in for merging
 // (minimum 2 pages).
 func NewSorter(mgr *storage.Manager, memPages int) *Sorter {
-	if memPages < 2 {
-		memPages = 2
-	}
-	return &Sorter{mgr: mgr, memPages: memPages, workers: 1}
+	return &Sorter{mgr: mgr, memPages: max(memPages, 2), workers: 1}
 }
 
-// WithParallelism sets the worker count for run generation (sorting and
-// writing initial runs): while the input scan stays sequential, up to
-// workers full batches are sorted and written to their run files
-// concurrently. Each in-flight batch holds its own memory budget, so peak
-// tuple memory grows to workers × memPages; the worker count is capped
-// below the buffer-pool capacity so concurrent run writers (one transient
-// page pin each) can never exhaust the pool. workers <= 1 restores the
-// serial behavior.
+// WithParallelism sets the worker count for run generation: while the
+// input is read sequentially, up to workers memory-sized batches are
+// sorted and written to their runs concurrently, so peak tuple memory
+// grows to workers × memPages. The count is capped below the buffer-pool
+// capacity (each run writer pins a page transiently); 1 is serial.
 func (s *Sorter) WithParallelism(workers int) *Sorter {
-	if workers < 1 {
-		workers = 1
-	}
-	if cap := s.mgr.Pool().Capacity() - 1; workers > cap {
-		workers = cap
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	s.workers = workers
+	s.workers = max(min(workers, s.mgr.Pool().Capacity()-1), 1)
 	return s
 }
 
-// Sort sorts src by less into a fresh temporary heap file. src is not
-// modified. The returned file is owned by the caller (Drop when done).
-func (s *Sorter) Sort(src *storage.HeapFile, less Less) (*storage.HeapFile, Stats, error) {
-	return s.SortPrefix(src, -1, less)
-}
-
-// SortPrefix is Sort restricted to the first limit tuples of src
-// (limit < 0 sorts everything). It lets callers sort a base heap in
-// place of a spilled copy — the snapshot bound keeps a reader that
-// captured a committed tuple count from sorting rows appended since.
-func (s *Sorter) SortPrefix(src *storage.HeapFile, limit int64, less Less) (*storage.HeapFile, Stats, error) {
-	var st Stats
-	counting := func(a, b frel.Tuple) bool {
-		st.Comparisons++
-		return less(a, b)
-	}
-
-	runs, err := s.makeRuns(src, limit, less, &st)
+// Sort sorts the heap file src by o into a fresh temporary heap file,
+// owned by the caller: SortRuns, then the merge drained into the file.
+func (s *Sorter) Sort(src *storage.HeapFile, o Order) (*storage.HeapFile, Stats, error) {
+	rs, st, err := s.SortRuns(&scanInput{sc: src.Scan(), buf: make([]frel.Tuple, 0, 256)}, src.Schema, o)
 	if err != nil {
 		return nil, st, err
 	}
-	if len(runs) == 0 {
-		out, err := s.mgr.CreateTemp(src.Schema)
-		return out, st, err
+	if len(rs.runs) == 1 {
+		return rs.runs[0], st, nil
 	}
-
-	fanIn := s.memPages - 1
-	if fanIn < 2 {
-		fanIn = 2
+	out, err := s.mergeRuns(rs, rs.runs, &st)
+	if derr := rs.Drop(); err == nil && derr != nil {
+		out.Drop()
+		return nil, st, derr
 	}
-	for len(runs) > 1 {
-		st.MergePasses++
-		var next []*storage.HeapFile
-		for lo := 0; lo < len(runs); lo += fanIn {
-			hi := lo + fanIn
-			if hi > len(runs) {
-				hi = len(runs)
-			}
-			merged, err := s.mergeRuns(runs[lo:hi], counting, src.Schema, &st)
-			if err != nil {
-				return nil, st, err
-			}
-			for _, r := range runs[lo:hi] {
-				if derr := r.Drop(); derr != nil {
-					return nil, st, derr
-				}
-			}
-			next = append(next, merged)
-		}
-		runs = next
-	}
-	return runs[0], st, nil
+	return out, st, err
 }
 
-// makeRuns splits src into sorted runs that each fit in the memory budget.
-// With parallelism, run sorting and writing overlap the input scan (and
-// each other) on a bounded worker pool; run order, contents, and the
-// comparison count stay identical to the serial execution because batches
-// are cut at the same points and sorted with the same stable sort.
-func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, less Less, st *Stats) ([]*storage.HeapFile, error) {
-	budget := s.memPages * storage.PageSize
-	var (
-		runs        []*storage.HeapFile
-		comparisons atomic.Int64
-		wg          sync.WaitGroup
-		errOnce     sync.Once
-		firstErr    error
-		sem         = make(chan struct{}, s.workers)
-	)
-	var batch []frel.Tuple
-	batchBytes := 0
+// scanInput adapts a heap scanner to Input.
+type scanInput struct {
+	sc  *storage.Scanner
+	buf []frel.Tuple
+}
 
+func (in *scanInput) NextBatch() ([]frel.Tuple, bool) {
+	in.buf = in.sc.NextBatch(in.buf)
+	return in.buf, len(in.buf) > 0
+}
+
+func (in *scanInput) Err() error { return in.sc.Err() }
+
+// RunSet is the result of SortRuns: at most fan-in sorted runs whose
+// merge is the sorted input. Any number of merges may be opened, also
+// at once, until Drop.
+type RunSet struct {
+	schema *frel.Schema
+	order  Order
+	runs   []*storage.HeapFile
+}
+
+// Len returns the number of runs.
+func (rs *RunSet) Len() int { return len(rs.runs) }
+
+// Drop deletes the run files.
+func (rs *RunSet) Drop() error {
+	err := dropAll(rs.runs)
+	rs.runs = nil
+	return err
+}
+
+func dropAll(runs []*storage.HeapFile) error {
+	var first error
+	for _, r := range runs {
+		if err := r.Drop(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// SortRuns reads in to exhaustion into a run set of at most fan-in runs,
+// merging consecutive runs into longer ones (written passes) only while
+// there are more. Batches are cut at the same points and sorted by the
+// same deterministic key sort at any worker count, so runs, contents and
+// comparison counts do not depend on it.
+func (s *Sorter) SortRuns(in Input, schema *frel.Schema, o Order) (*RunSet, Stats, error) {
+	var (
+		st         Stats
+		rs         = &RunSet{schema: schema, order: o}
+		cmps       atomic.Int64
+		wg         sync.WaitGroup
+		errOnce    sync.Once
+		writeErr   error
+		sem        = make(chan struct{}, s.workers)
+		batch      []frel.Tuple
+		batchBytes int
+	)
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		// The run file is created here, in scan order, so the run list is
-		// deterministic; only sorting and appending move to the worker.
-		run, err := s.mgr.CreateTemp(src.Schema)
+		// Runs are created here, in input order; only sorting and
+		// appending move to the worker.
+		run, err := s.mgr.CreateTemp(schema)
 		if err != nil {
 			return err
 		}
-		runs = append(runs, run)
+		rs.runs = append(rs.runs, run)
 		st.Runs++
 		st.SpillBytes += int64(batchBytes)
 		b := batch
-		batch = nil
-		batchBytes = 0
+		batch, batchBytes = make([]frel.Tuple, 0, len(b)), 0
 		sem <- struct{}{} // bound in-flight batches (and their memory)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var local int64
-			sort.SliceStable(b, func(i, j int) bool {
-				local++
-				return less(b[i], b[j])
-			})
-			comparisons.Add(local)
-			for _, t := range b {
-				if err := run.Append(t); err != nil {
-					errOnce.Do(func() { firstErr = err })
+			keys, n := o.sortKeys(b)
+			cmps.Add(n)
+			for _, k := range keys {
+				if err := run.Append(b[k.seq]); err != nil {
+					errOnce.Do(func() { writeErr = err })
 					return
 				}
 			}
 		}()
 		return nil
 	}
-
-	sc := src.ScanAt(limit)
-	defer sc.Close()
-	var scanErr error
-	// Consume the scan a page-sized batch at a time; the per-tuple budget
-	// check keeps run boundaries identical to tuple-at-a-time consumption.
-	page := make([]frel.Tuple, 0, 256)
-scan:
-	for {
-		page = sc.NextBatch(page)
-		if len(page) == 0 {
-			break
-		}
-		for _, t := range page {
+	var err error
+	for b, ok := in.NextBatch(); ok && err == nil; b, ok = in.NextBatch() {
+		for _, t := range b {
 			st.Tuples++
 			batch = append(batch, t)
-			batchBytes += frel.EncodedSize(src.Schema, t)
-			if batchBytes >= budget {
-				if err := flush(); err != nil {
-					scanErr = err
-					break scan
+			if batchBytes += frel.EncodedSize(schema, t); batchBytes >= s.memPages*storage.PageSize {
+				if err = flush(); err != nil {
+					break
 				}
 			}
 		}
 	}
-	if scanErr == nil {
-		scanErr = sc.Err()
-	}
-	if scanErr == nil {
-		scanErr = flush()
+	if err == nil {
+		if err = in.Err(); err == nil {
+			err = flush()
+		}
 	}
 	wg.Wait()
-	st.Comparisons += comparisons.Load()
-	if scanErr == nil {
-		scanErr = firstErr
+	st.Comparisons += cmps.Load()
+	if err == nil {
+		err = writeErr
 	}
-	if scanErr != nil {
-		for _, r := range runs {
-			r.Drop()
+	for fanIn := max(s.memPages-1, 2); err == nil && len(rs.runs) > fanIn; {
+		st.MergePasses++
+		in := rs.runs
+		rs.runs = nil
+		for lo := 0; lo < len(in) && err == nil; lo += fanIn {
+			group := in[lo:min(lo+fanIn, len(in))]
+			merged, merr := s.mergeRuns(rs, group, &st)
+			if err = merr; err != nil {
+				rs.runs = append(rs.runs, in[lo:]...)
+				break
+			}
+			rs.runs = append(rs.runs, merged)
+			if err = dropAll(group); err != nil {
+				rs.runs = append(rs.runs, in[lo+len(group):]...)
+			}
 		}
-		return nil, scanErr
 	}
-	return runs, nil
+	if err != nil {
+		rs.Drop()
+		return nil, st, err
+	}
+	if len(rs.runs) > 1 {
+		st.MergePasses++ // the final pass, streamed by Merge
+	}
+	return rs, st, nil
 }
 
-// mergeHead is one scanner's current tuple in the merge heap.
-type mergeHead struct {
-	tuple frel.Tuple
-	idx   int
-}
-
-type mergeHeap struct {
-	heads []mergeHead
-	less  Less
-}
-
-func (h *mergeHeap) Len() int { return len(h.heads) }
-func (h *mergeHeap) Less(i, j int) bool {
-	return h.less(h.heads[i].tuple, h.heads[j].tuple)
-}
-func (h *mergeHeap) Swap(i, j int)      { h.heads[i], h.heads[j] = h.heads[j], h.heads[i] }
-func (h *mergeHeap) Push(x interface{}) { h.heads = append(h.heads, x.(mergeHead)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.heads
-	n := len(old)
-	x := old[n-1]
-	h.heads = old[:n-1]
-	return x
-}
-
-// mergeRuns merges the given sorted runs into one new temporary heap
-// file, accounting the rewritten tuple bytes to st.SpillBytes.
-func (s *Sorter) mergeRuns(runs []*storage.HeapFile, less Less, schema *frel.Schema, st *Stats) (*storage.HeapFile, error) {
-	out, err := s.mgr.CreateTemp(schema)
+// mergeRuns writes the merge of group into one new run, accounting its
+// bytes and comparisons to st.
+func (s *Sorter) mergeRuns(rs *RunSet, group []*storage.HeapFile, st *Stats) (*storage.HeapFile, error) {
+	out, err := s.mgr.CreateTemp(rs.schema)
 	if err != nil {
 		return nil, err
 	}
-	scanners := make([]*storage.Scanner, len(runs))
-	defer func() {
-		for _, sc := range scanners {
-			if sc != nil {
-				sc.Close()
+	m := (&RunSet{schema: rs.schema, order: rs.order, runs: group}).Merge()
+	defer m.Close()
+	for b, ok := m.NextBatch(); ok && err == nil; b, ok = m.NextBatch() {
+		for _, t := range b {
+			if err = out.Append(t); err != nil {
+				break
 			}
-		}
-	}()
-	h := &mergeHeap{less: less}
-	for i, run := range runs {
-		scanners[i] = run.Scan()
-		if t, ok := scanners[i].Next(); ok {
-			h.heads = append(h.heads, mergeHead{t, i})
-		} else if err := scanners[i].Err(); err != nil {
-			return nil, err
+			st.SpillBytes += int64(frel.EncodedSize(rs.schema, t))
 		}
 	}
-	heap.Init(h)
-	for h.Len() > 0 {
-		head := heap.Pop(h).(mergeHead)
-		if err := out.Append(head.tuple); err != nil {
-			return nil, err
-		}
-		st.SpillBytes += int64(frel.EncodedSize(schema, head.tuple))
-		if t, ok := scanners[head.idx].Next(); ok {
-			heap.Push(h, mergeHead{t, head.idx})
-		} else if err := scanners[head.idx].Err(); err != nil {
-			return nil, err
-		}
+	if err == nil {
+		err = m.Err()
+	}
+	st.Comparisons += m.Comparisons()
+	if err != nil {
+		out.Drop()
+		return nil, err
 	}
 	return out, nil
 }
 
-// SortRelation sorts an in-memory relation by less, in place, counting
-// comparisons like Sort does. It backs the engine's in-memory fast path.
-func SortRelation(r *frel.Relation, less Less) int64 {
-	var comparisons int64
-	sort.SliceStable(r.Tuples, func(i, j int) bool {
-		comparisons++
-		return less(r.Tuples[i], r.Tuples[j])
-	})
-	return comparisons
+// Merger streams the k-way merge of a run set: a binary min-heap of run
+// cursors ordered by (key, run index). Each batch of up to 1024 tuples
+// comes with its support keys (none for string orders), so a Merger is
+// an exec.KeyedBatchIterator; batches follow the exec reuse contract.
+type Merger struct {
+	o     Order
+	scans []*storage.Scanner
+	heap  []cursor
+	out   []frel.Tuple
+	keys  []frel.SupportKey
+	cmp   int64
+	err   error
 }
 
-// Check verifies that the heap file is sorted by less, returning the first
-// out-of-order position or -1. It is a testing aid.
-func Check(h *storage.HeapFile, less Less) (int64, error) {
-	sc := h.Scan()
-	defer sc.Close()
-	var prev frel.Tuple
-	first := true
-	var i int64
-	for {
-		t, ok := sc.Next()
-		if !ok {
-			break
+// cursor is one run's current tuple; k.seq is the run index.
+type cursor struct {
+	k key
+	t frel.Tuple
+}
+
+// Merge opens a streaming merge of the run set.
+func (rs *RunSet) Merge() *Merger {
+	m := &Merger{o: rs.order}
+	for i, r := range rs.runs {
+		sc := r.Scan()
+		m.scans = append(m.scans, sc)
+		if t, ok := sc.Next(); ok {
+			m.heap = append(m.heap, cursor{rs.order.key(t, i), t})
+		} else if m.err == nil {
+			m.err = sc.Err()
 		}
-		if !first && less(t, prev) {
-			return i, nil
+	}
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+	return m
+}
+
+func (m *Merger) less(i, j int) bool {
+	m.cmp++
+	return m.o.compare(&m.heap[i].k, &m.heap[j].k) < 0
+}
+
+// down restores the heap property below position i.
+func (m *Merger) down(i int) {
+	for n := len(m.heap); ; {
+		c := 2*i + 1
+		if c >= n {
+			return
 		}
-		prev, first = t, false
-		i++
+		if c+1 < n && m.less(c+1, c) {
+			c++
+		}
+		if !m.less(c, i) {
+			return
+		}
+		m.heap[i], m.heap[c] = m.heap[c], m.heap[i]
+		i = c
 	}
-	if err := sc.Err(); err != nil {
-		return 0, err
+}
+
+// NextBatch returns the next tuples in merge order.
+func (m *Merger) NextBatch() ([]frel.Tuple, bool) {
+	m.out, m.keys = m.out[:0], m.keys[:0]
+	for m.err == nil && len(m.heap) > 0 && len(m.out) < 1024 {
+		top := &m.heap[0]
+		m.out = append(m.out, top.t)
+		if !m.o.str {
+			m.keys = append(m.keys, frel.SupportKey{Lo: top.k.a, Hi: top.k.d, D: top.t.D})
+		}
+		if t, ok := m.scans[top.k.seq].Next(); ok {
+			*top = cursor{m.o.key(t, top.k.seq), t}
+		} else if m.err = m.scans[top.k.seq].Err(); m.err == nil {
+			m.heap[0] = m.heap[len(m.heap)-1]
+			m.heap = m.heap[:len(m.heap)-1]
+		}
+		m.down(0)
 	}
-	return -1, nil
+	return m.out, m.err == nil && len(m.out) > 0
+}
+
+// Keys returns the support keys of the last batch, aligned with it (nil
+// for string orders).
+func (m *Merger) Keys() []frel.SupportKey { return m.keys }
+
+// Comparisons returns the key comparisons the merge has made so far.
+func (m *Merger) Comparisons() int64 { return m.cmp }
+
+// Err reports the first read error.
+func (m *Merger) Err() error { return m.err }
+
+// Close releases the run scanners; the runs themselves stay.
+func (m *Merger) Close() {
+	for _, sc := range m.scans {
+		sc.Close()
+	}
 }

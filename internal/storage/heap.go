@@ -584,7 +584,7 @@ type Manager struct {
 	stats *Stats
 	wal   *WAL
 
-	mu    sync.Mutex // guards seq, heaps, and tempFree
+	mu    sync.Mutex // guards seq, heaps, tempFree and liveTemps
 	seq   int
 	heaps map[string]*HeapFile // logged heaps by log name
 
@@ -594,6 +594,8 @@ type Manager struct {
 	// that fed the pool skipped the unlink — per cold external sort that
 	// removes dozens of file-system operations for the run files alone.
 	tempFree []*HeapFile
+	// liveTemps counts temporary heaps handed out and not yet dropped.
+	liveTemps int
 
 	tx *Tx // the open transaction, if any (writers are serialized above)
 
@@ -1057,6 +1059,7 @@ func (m *Manager) CreateTemp(schema *frel.Schema) (*HeapFile, error) {
 	if n := len(m.tempFree); n > 0 {
 		h := m.tempFree[n-1]
 		m.tempFree = m.tempFree[:n-1]
+		m.liveTemps++
 		m.mu.Unlock()
 		h.resetTemp(schema)
 		return h, nil
@@ -1069,7 +1072,18 @@ func (m *Manager) CreateTemp(schema *frel.Schema) (*HeapFile, error) {
 		return nil, err
 	}
 	h.tempMgr = m
+	m.mu.Lock()
+	m.liveTemps++
+	m.mu.Unlock()
 	return h, nil
+}
+
+// LiveTemps returns the number of temporary heaps created by CreateTemp
+// and not yet dropped.
+func (m *Manager) LiveTemps() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.liveTemps
 }
 
 // recycleTemp offers a dropped temp back to the pool; false means the
@@ -1077,6 +1091,7 @@ func (m *Manager) CreateTemp(schema *frel.Schema) (*HeapFile, error) {
 func (m *Manager) recycleTemp(h *HeapFile) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.liveTemps--
 	if len(m.tempFree) >= tempFreeMax {
 		return false
 	}
