@@ -277,13 +277,17 @@ func BenchmarkAblationParallelSort(b *testing.B) {
 // syntactic order on a 3-level chain whose best order differs from the
 // syntactic one (Section 8's dynamic programming suggestion).
 func BenchmarkAblationChainOrder(b *testing.B) {
-	mk := func(name string, n int, seed int64) *frel.Relation {
-		rel, err := workload.Generate(workload.Params{
-			Name: name, Tuples: n, TupleBytes: 128, Fanout: 4, Width: 5, Jitter: 0.5, Seed: seed})
-		if err != nil {
+	mgr, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 256, FS: storage.NewMemFS()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := catalog.New(mgr)
+	for i, n := range []int{3000, 3000, 60} {
+		if _, err := workload.Load(cat, workload.Params{
+			Name: fmt.Sprintf("R%d", i+1), Tuples: n, TupleBytes: 128, Fanout: 4, Width: 5, Jitter: 0.5, Seed: int64(i + 1),
+		}); err != nil {
 			b.Fatal(err)
 		}
-		return rel
 	}
 	query := `
 		SELECT R1.K FROM R1
@@ -303,11 +307,8 @@ func BenchmarkAblationChainOrder(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			// Syntactic order joins the two large relations first; the DP
 			// order starts from the tiny R3 and keeps intermediates small.
-			env := core.NewMemEnv()
+			env := core.NewEnv(cat)
 			env.DisableJoinReorder = !dp
-			env.RegisterRelation("R1", mk("R1", 3000, 1))
-			env.RegisterRelation("R2", mk("R2", 3000, 2))
-			env.RegisterRelation("R3", mk("R3", 60, 3))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := env.EvalUnnested(q); err != nil {

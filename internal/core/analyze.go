@@ -114,10 +114,7 @@ func (e *Env) notePruned(n int) {
 // runAnalyzed executes run with stats collection active, filling es.
 func (e *Env) runAnalyzed(es *ExecStats, run func() (*frel.Relation, error)) (*frel.Relation, error) {
 	defer e.withAnalyze(es)()
-	var reads0, hits0 int64
-	if e.cat != nil {
-		reads0, _, hits0, _ = e.cat.Manager().Stats().Snapshot()
-	}
+	reads0, _, hits0, _ := e.cat.Manager().Stats().Snapshot()
 	cmp0 := e.Counters.Comparisons.Load()
 	deg0 := e.Counters.DegreeEvals.Load()
 	start := time.Now()
@@ -138,12 +135,10 @@ func (e *Env) runAnalyzed(es *ExecStats, run func() (*frel.Relation, error)) (*f
 		root.WallNanos.Store(es.Wall.Nanoseconds())
 		es.Root = root
 	}
-	if e.cat != nil {
-		reads1, _, hits1, _ := e.cat.Manager().Stats().Snapshot()
-		es.PoolHits, es.PoolMisses = hits1-hits0, reads1-reads0
-		es.Root.PoolHits.Store(es.PoolHits)
-		es.Root.PoolMisses.Store(es.PoolMisses)
-	}
+	reads1, _, hits1, _ := e.cat.Manager().Stats().Snapshot()
+	es.PoolHits, es.PoolMisses = hits1-hits0, reads1-reads0
+	es.Root.PoolHits.Store(es.PoolHits)
+	es.Root.PoolMisses.Store(es.PoolMisses)
 	return rel, nil
 }
 

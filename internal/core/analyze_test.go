@@ -119,14 +119,13 @@ func TestAnalyzeNaiveRootSynthesis(t *testing.T) {
 
 // TestAnalyzePrunedCount checks WITH D >= thresholding is accounted.
 func TestAnalyzePrunedCount(t *testing.T) {
-	env := NewMemEnv()
 	r := frel.NewRelation(frel.NewSchema("R",
 		frel.Attribute{Name: "K", Kind: frel.KindNumber},
 		frel.Attribute{Name: "B", Kind: frel.KindNumber}))
 	r.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(10)))
 	r.Append(frel.NewTuple(0.4, frel.Crisp(2), frel.Crisp(20)))
 	r.Append(frel.NewTuple(0.2, frel.Crisp(3), frel.Crisp(30)))
-	env.RegisterRelation("R", r)
+	env := heapEnv(t, r)
 	q, err := fsql.ParseQuery(`SELECT R.K FROM R WHERE R.B >= 0 WITH D >= 0.3`)
 	if err != nil {
 		t.Fatal(err)

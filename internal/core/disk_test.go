@@ -72,7 +72,7 @@ func TestDiskEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("unnested: %v", err)
 			}
-			if !naive.Equal(unnested, 1e-9) {
+			if !naive.Equal(unnested, 0) {
 				t.Fatalf("disk equivalence violated:\nnaive: %v\nunnested: %v", naive.Tuples, unnested.Tuples)
 			}
 			if pins := e.cat.Manager().Pool().PinnedPages(); pins != 0 {

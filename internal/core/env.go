@@ -33,17 +33,16 @@ import (
 	"repro/internal/storage"
 )
 
-// Env is the evaluation environment: relation and term resolution plus the
-// resource knobs (sort memory, nested-loop block size) and work counters.
 // ErrUnknownTerm reports a linguistic term that resolves in neither the
 // session's term scope nor the shared catalog. The public API maps it to
 // a typed error code.
 var ErrUnknownTerm = errors.New("unknown linguistic term")
 
+// Env is the evaluation environment over a catalog: relation and term
+// resolution plus the resource knobs (sort memory, nested-loop block size)
+// and work counters.
 type Env struct {
-	cat      *catalog.Catalog
-	mem      map[string]*frel.Relation
-	memTerms map[string]fuzzy.Trapezoid
+	cat *catalog.Catalog
 
 	// scopeTerms, when non-nil, is the session-local linguistic-term
 	// scope: a per-connection vocabulary layered over the shared catalog,
@@ -69,11 +68,9 @@ type Env struct {
 	Parallelism int
 
 	// Sort-order cache state; see sortcache.go for the keying and
-	// invalidation contract. All maps are lazily initialized.
+	// invalidation contract. The map is lazily initialized.
 	sortCache map[sortKey]*sortEntry
 	stmtRuns  []*extsort.RunSet // run sets to drop when the statement ends
-	memBase   map[*frel.Relation]*frel.Relation
-	aliasMemo map[string]*aliasEntry
 
 	// ctx, when non-nil, is observed by the leaf scans of every evaluation
 	// (set for the duration of a *Context evaluation call).
@@ -112,41 +109,10 @@ func (e *Env) ResetStats() {
 // NewEnv builds an environment over a catalog (with on-disk relations and
 // its linguistic terms).
 func NewEnv(cat *catalog.Catalog) *Env {
-	e := &Env{cat: cat, mem: make(map[string]*frel.Relation)}
+	e := &Env{cat: cat}
 	e.SortMemPages = 256
 	e.NLBlockBytes = (e.SortMemPages - 1) * storage.PageSize
 	return e
-}
-
-// NewMemEnv builds a purely in-memory environment; relations are
-// registered with RegisterRelation and terms with DefineTerm.
-func NewMemEnv() *Env {
-	e := &Env{mem: make(map[string]*frel.Relation)}
-	e.SortMemPages = 256
-	e.NLBlockBytes = (e.SortMemPages - 1) * storage.PageSize
-	return e
-}
-
-// RegisterRelation makes an in-memory relation visible to queries under
-// the given name (shadowing any catalog relation of that name).
-func (e *Env) RegisterRelation(name string, r *frel.Relation) {
-	e.mem[relKey(name)] = r
-}
-
-// DefineTerm adds a linguistic term. With a catalog, the term is stored
-// there; otherwise in the environment.
-func (e *Env) DefineTerm(name string, t fuzzy.Trapezoid) error {
-	if e.cat != nil {
-		return e.cat.DefineTerm(name, t)
-	}
-	if e.memTerms == nil {
-		e.memTerms = make(map[string]fuzzy.Trapezoid)
-	}
-	if !t.Valid() {
-		return fmt.Errorf("core: term %q has invalid distribution %v", name, t)
-	}
-	e.memTerms[termKey(name)] = t
-	return nil
 }
 
 func relKey(name string) string {
@@ -193,20 +159,12 @@ func (e *Env) workers() int {
 }
 
 // term resolves a linguistic term: the session-local scope first, then
-// the shared catalog (or the in-memory dictionary without a catalog).
+// the shared catalog.
 func (e *Env) term(name string) (fuzzy.Trapezoid, bool) {
-	if e.scopeTerms != nil {
-		if t, ok := e.scopeTerms[termKey(name)]; ok {
-			return t, true
-		}
+	if t, ok := e.scopeTerms[termKey(name)]; ok {
+		return t, true
 	}
-	if e.cat != nil {
-		if t, ok := e.cat.Term(name); ok {
-			return t, true
-		}
-	}
-	t, ok := e.memTerms[termKey(name)]
-	return t, ok
+	return e.cat.Term(name)
 }
 
 // EnableTermScope gives the environment a session-local term scope;
@@ -253,48 +211,35 @@ func (e *Env) ReleaseSortCache() {
 	}
 	e.dropStatementRuns()
 	e.sortCache = nil
-	e.memBase = nil
-	e.aliasMemo = nil
 }
 
-// source resolves a FROM-clause relation reference to an exec.Source
-// whose schema carries the binding name (FROM alias). The resolved base
-// relation is registered with the sort-order cache bookkeeping so later
-// sorts of the scan can be served from cache.
+// source resolves a FROM-clause relation reference to a scan of its heap
+// file whose schema carries the binding name (FROM alias). Every binding
+// of one relation scans the same heap, so later sorts of the scan share
+// its sort-order cache entries.
 func (e *Env) source(tr fsql.TableRef) (exec.Source, error) {
 	name, alias := tr.Name, tr.Binding()
-	if r, ok := e.mem[relKey(name)]; ok {
-		use := r
-		if alias != "" && relKey(alias) != r.Schema.Name {
-			use = e.aliasRel(relKey(name), relKey(alias), r)
-		}
-		e.noteMemBase(use, r)
-		return exec.WithContext(e.ctx, exec.NewMemSource(use)), nil
+	h, err := e.cat.Relation(name)
+	if err != nil {
+		return nil, err
 	}
-	if e.cat != nil {
-		h, err := e.cat.Relation(name)
-		if err != nil {
-			return nil, err
+	var src exec.Source
+	if e.snap != nil && !e.snap.Live(h) {
+		sn, ok := e.snap.Lookup(h)
+		if !ok {
+			// The name resolves to a heap created (or swapped in by a
+			// DELETE rewrite) after the snapshot was taken: the
+			// transaction cannot see a consistent state of it.
+			return nil, fmt.Errorf("core: %w: relation %q changed after the transaction began", ErrTxnConflict, name)
 		}
-		var src exec.Source
-		if e.snap != nil && !e.snap.Live(h) {
-			sn, ok := e.snap.Lookup(h)
-			if !ok {
-				// The name resolves to a heap created (or swapped in by a
-				// DELETE rewrite) after the snapshot was taken: the
-				// transaction cannot see a consistent state of it.
-				return nil, fmt.Errorf("core: %w: relation %q changed after the transaction began", ErrTxnConflict, name)
-			}
-			src = exec.NewHeapSourceAt(h, sn.Tuples)
-		} else {
-			src = exec.NewHeapSource(h)
-		}
-		if alias != "" && relKey(alias) != h.Schema.Name {
-			src = &renameSource{Source: src, schema: h.Schema.WithName(relKey(alias))}
-		}
-		return exec.WithContext(e.ctx, src), nil
+		src = exec.NewHeapSourceAt(h, sn.Tuples)
+	} else {
+		src = exec.NewHeapSource(h)
 	}
-	return nil, fmt.Errorf("core: unknown relation %q", name)
+	if alias != "" && relKey(alias) != h.Schema.Name {
+		src = &renameSource{Source: src, schema: h.Schema.WithName(relKey(alias))}
+	}
+	return exec.WithContext(e.ctx, src), nil
 }
 
 // shiftSource adds a constant distribution to one numeric attribute of
@@ -367,9 +312,8 @@ func (r *renameSource) Schema() *frel.Schema { return r.schema }
 // sortSource returns src stably sorted on attr (total: the CompareTotal
 // order the group-aggregate join needs). A base relation's order comes
 // from the sort-order cache (sortcache.go) or an order index
-// (indexscan.go) when it can. Otherwise a disk-backed environment sorts
-// src's stream into runs and serves their streamed merge, and an
-// in-memory one sorts in memory.
+// (indexscan.go) when it can. Otherwise src's stream is sorted into runs
+// and the streamed merge of the runs is served.
 func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source, error) {
 	byAttr := extsort.ByAttr
 	if total {
@@ -380,9 +324,8 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		return nil, err
 	}
 	attrIdx, _ := src.Schema().Resolve(attr)
-	memBase, heapBase, version := e.cacheableBase(src)
-	key := sortKey{mem: memBase, heap: heapBase, attr: attrIdx, total: total}
-	cacheable := memBase != nil || heapBase != nil
+	base, version := e.cacheableBase(src)
+	key := sortKey{heap: base, attr: attrIdx, total: total}
 	node := e.newNode("sort", attr)
 	if ent, ok := e.sortCache[key]; ok && ent.version == version {
 		e.Counters.SortCacheHits.Add(1)
@@ -391,45 +334,33 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		}
 		return e.attach(node, e.sortedSource(src, ent, node), src), nil
 	}
-	if heapBase != nil {
-		if out, ok, err := e.indexSorted(src, heapBase, attr, attrIdx, total); err != nil || ok {
+	if base != nil {
+		if out, ok, err := e.indexSorted(src, base, attr, attrIdx, total); err != nil || ok {
 			return out, err
 		}
 	}
-	ent := &sortEntry{version: version}
-	var st extsort.Stats
 	start := time.Now()
-	if e.cat != nil && memBase == nil {
-		mgr := e.cat.Manager()
-		ios := mgr.Stats().IO()
-		it, err := src.Open()
-		if err != nil {
-			return nil, err
-		}
-		ent.runs, st, err = extsort.NewSorter(mgr, e.SortMemPages).WithParallelism(e.workers()).SortRuns(it, src.Schema(), order)
-		it.Close()
-		if err != nil {
-			return nil, err
-		}
-		e.Phases.SortIOs += mgr.Stats().IO() - ios
-	} else {
-		rel := memBase
-		if rel == nil {
-			if rel, err = exec.Collect(src); err != nil {
-				return nil, err
-			}
-		}
-		ent.tuples, st.Comparisons = extsort.SortTuples(rel.Tuples, order)
-		ent.keys = frel.SupportKeys(ent.tuples, attrIdx)
+	mgr := e.cat.Manager()
+	ios := mgr.Stats().IO()
+	it, err := src.Open()
+	if err != nil {
+		return nil, err
 	}
+	runs, st, err := extsort.NewSorter(mgr, e.SortMemPages).WithParallelism(e.workers()).SortRuns(it, src.Schema(), order)
+	it.Close()
+	if err != nil {
+		return nil, err
+	}
+	ent := &sortEntry{version: version, runs: runs}
+	e.Phases.SortIOs += mgr.Stats().IO() - ios
 	elapsed := time.Since(start)
 	e.Phases.SortWall += elapsed
 	e.Counters.Comparisons.Add(st.Comparisons)
-	if cacheable {
+	if base != nil {
 		e.storeSort(key, ent)
 		e.Counters.SortCacheMisses.Add(1)
 	} else {
-		e.retire(ent.runs) // an uncached run set lives for the statement
+		e.retire(runs) // an uncached run set lives for the statement
 	}
 	if node != nil {
 		node.SortRuns.Store(int64(st.Runs))
@@ -437,7 +368,7 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		node.SpillBytes.Store(st.SpillBytes)
 		node.Comparisons.Store(st.Comparisons)
 		node.WallNanos.Store(elapsed.Nanoseconds())
-		if cacheable {
+		if base != nil {
 			node.CacheMisses.Store(1)
 		}
 	}
@@ -445,7 +376,7 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 }
 
 // sortedSource serves a sort result under src's (possibly aliased) schema:
-// the stored tuples with their key column, or the run set's merge.
+// the run set's merge, or the index-served tuples with their key column.
 func (e *Env) sortedSource(src exec.Source, ent *sortEntry, node *exec.OpStats) exec.Source {
 	if ent.runs != nil {
 		return exec.WithContext(e.ctx, &runSource{e: e, runs: ent.runs, schema: src.Schema(), node: node})

@@ -5,9 +5,11 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/frel"
 	"repro/internal/fsql"
+	"repro/internal/storage"
 )
 
 // A complete session: schema, ill-known data, and the paper's nested
@@ -48,13 +50,19 @@ func Example() {
 
 // Explain reports which of the paper's rewrites a nested query takes.
 func ExampleEnv_Explain() {
-	env := core.NewMemEnv()
+	mgr, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 16, FS: storage.NewMemFS()})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cat := catalog.New(mgr)
 	mk := func(name string, attrs ...string) {
 		var as []frel.Attribute
 		for _, a := range attrs {
 			as = append(as, frel.Attribute{Name: a, Kind: frel.KindNumber})
 		}
-		env.RegisterRelation(name, frel.NewRelation(frel.NewSchema(name, as...)))
+		if _, err := cat.CreateRelation(name, frel.NewSchema(name, as...)); err != nil {
+			log.Fatal(err)
+		}
 	}
 	mk("R", "X", "Y", "U")
 	mk("S", "Z", "V")
@@ -64,7 +72,7 @@ func ExampleEnv_Explain() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan := env.Explain(q)
+	plan := core.NewEnv(cat).Explain(q)
 	fmt.Println(plan.Strategy)
 	// Output:
 	// jx-anti-join

@@ -10,7 +10,7 @@ import (
 func TestExistsCorrelated(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 15; trial++ {
-		e := envRS(rng, 20, 30, 0)
+		e := envRS(t, rng, 20, 30, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE EXISTS (SELECT S.Z FROM S WHERE S.V = R.U)`,
@@ -22,7 +22,7 @@ func TestExistsCorrelated(t *testing.T) {
 func TestExistsWithPredicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 15; trial++ {
-		e := envRS(rng, 20, 30, 0)
+		e := envRS(t, rng, 20, 30, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y > 4 AND EXISTS (SELECT S.Z FROM S WHERE S.V = R.U AND S.Z < 18)`,
@@ -35,7 +35,7 @@ func TestExistsWithPredicates(t *testing.T) {
 func TestNotExistsCorrelated(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 15; trial++ {
-		e := envRS(rng, 20, 30, 0)
+		e := envRS(t, rng, 20, 30, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE NOT EXISTS (SELECT S.Z FROM S WHERE S.V = R.U)`,
@@ -48,7 +48,7 @@ func TestNotExistsCorrelated(t *testing.T) {
 func TestNotExistsWithInnerPredicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 15; trial++ {
-		e := envRS(rng, 20, 30, 0)
+		e := envRS(t, rng, 20, 30, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.U < 16 AND NOT EXISTS
@@ -62,7 +62,7 @@ func TestNotExistsWithInnerPredicate(t *testing.T) {
 func TestNotExistsUncorrelated(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 15, 20, 0)
+		e := envRS(t, rng, 15, 20, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE NOT EXISTS (SELECT S.Z FROM S WHERE S.V > 14)`,
@@ -74,7 +74,7 @@ func TestNotExistsUncorrelated(t *testing.T) {
 func TestExistsInsideChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 15, 20, 25)
+		e := envRS(t, rng, 15, 20, 25)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y IN
@@ -89,7 +89,7 @@ func TestExistsInsideChain(t *testing.T) {
 // outer tuples; NOT EXISTS keeps them at their own degree.
 func TestExistsEmptyInner(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	e := envRS(rng, 10, 10, 0)
+	e := envRS(t, rng, 10, 10, 0)
 	checkEquivalence(t, e, `
 		SELECT R.TAG FROM R
 		WHERE EXISTS (SELECT S.Z FROM S WHERE S.V > 1000)`,

@@ -146,7 +146,7 @@ func TestFuzzEquivalence(t *testing.T) {
 	g := &qgen{rng: rng}
 	counts := map[Strategy]int{}
 	for i := 0; i < iterations; i++ {
-		e := envRS(rng, 8+rng.Intn(10), 8+rng.Intn(10), 6+rng.Intn(8))
+		e := envRS(t, rng, 8+rng.Intn(10), 8+rng.Intn(10), 6+rng.Intn(8))
 		src := g.block(0, 1+rng.Intn(2))
 		if rng.Intn(5) == 0 {
 			src += fmt.Sprintf(" WITH D >= 0.%d", 1+rng.Intn(8))
@@ -171,7 +171,7 @@ func TestFuzzEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unnested(%q): %v", src, err)
 		}
-		if !naive.Equal(unnested, 1e-9) {
+		if !naive.Equal(unnested, 0) {
 			t.Fatalf("equivalence violated (strategy %v) for\n%s\nnaive: %v\nunnested: %v",
 				plan.Strategy, src, naive.Tuples, unnested.Tuples)
 		}

@@ -14,8 +14,8 @@ import (
 // the sort order is read from the index instead of being built: one
 // bounded scan of the base heap, one bounded scan of the entry file, and
 // a permutation — no external sort, no run generation, no merge passes.
-// The loaded order is stored in the in-memory side of the sort cache, so
-// repeat queries replay it as ordinary cache hits.
+// The loaded order is stored in the sort cache as sorted tuples with
+// their key column, so repeat queries replay it as ordinary cache hits.
 
 // heapCount returns the number of tuples of h visible to the current
 // evaluation: the snapshot's committed count under snapshot visibility,
@@ -47,9 +47,6 @@ func (e *Env) heapCount(h *storage.HeapFile) int64 {
 // the global (support-begin, support-end, position) order because the
 // tail's positions all exceed the run's.
 func (e *Env) indexSorted(src exec.Source, base *storage.HeapFile, attr string, attrIdx int, total bool) (exec.Source, bool, error) {
-	if e.cat == nil {
-		return nil, false, nil
-	}
 	ix := e.cat.IndexForHeap(base, attrIdx)
 	if ix == nil {
 		return nil, false, nil

@@ -22,7 +22,7 @@ func mustParse(t *testing.T, src string) *fsql.Select {
 func TestJANonEqualityCorrelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 15, 20, 0)
+		e := envRS(t, rng, 15, 20, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y > (SELECT MAX(S.Z) FROM S WHERE S.V <= R.U)`,
@@ -35,7 +35,7 @@ func TestJANonEqualityCorrelation(t *testing.T) {
 func TestJAFlippedCorrelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 15, 20, 0)
+		e := envRS(t, rng, 15, 20, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y < (SELECT MIN(S.Z) FROM S WHERE R.U = S.V)`,
@@ -48,7 +48,7 @@ func TestJAFlippedCorrelation(t *testing.T) {
 func TestJALLMultipleCorrelations(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 15, 20, 0)
+		e := envRS(t, rng, 15, 20, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y < ALL (SELECT S.Z FROM S WHERE S.V = R.U AND S.Z >= R.U)`,
@@ -60,7 +60,7 @@ func TestJALLMultipleCorrelations(t *testing.T) {
 func TestJXMultipleCorrelations(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 15, 20, 0)
+		e := envRS(t, rng, 15, 20, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y NOT IN (SELECT S.Z FROM S WHERE S.V = R.U AND S.Z < R.Y)`,
@@ -73,7 +73,7 @@ func TestJXMultipleCorrelations(t *testing.T) {
 func TestChainMultiRelationInnerBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 12, 14, 10)
+		e := envRS(t, rng, 12, 14, 10)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y IN (SELECT S.Z FROM S, T WHERE S.V = T.W AND T.P = R.U)`,
@@ -86,7 +86,7 @@ func TestChainMultiRelationInnerBlock(t *testing.T) {
 func TestFlatGroupByEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 15, 20, 0)
+		e := envRS(t, rng, 15, 20, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG, COUNT(S.Z), MAX(S.Z) FROM R, S
 			WHERE R.Y = S.Z
@@ -106,7 +106,7 @@ func TestFlatGroupByEquivalence(t *testing.T) {
 func TestFlatCrossProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 5; trial++ {
-		e := envRS(rng, 8, 9, 0)
+		e := envRS(t, rng, 8, 9, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG, S.TAG FROM R, S WHERE R.U > 10`,
 			StrategyFlat)
@@ -118,7 +118,7 @@ func TestFlatCrossProduct(t *testing.T) {
 func TestFlatNonEquiJoinOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	for trial := 0; trial < 5; trial++ {
-		e := envRS(rng, 10, 12, 0)
+		e := envRS(t, rng, 10, 12, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R, S WHERE R.Y < S.Z AND S.V > 12`,
 			StrategyFlat)
@@ -129,7 +129,7 @@ func TestFlatNonEquiJoinOnly(t *testing.T) {
 // every answer degree.
 func TestConstantPredicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
-	e := envRS(rng, 10, 10, 0)
+	e := envRS(t, rng, 10, 10, 0)
 	checkEquivalence(t, e, `
 		SELECT R.TAG FROM R WHERE 3 < 5 AND R.U > 2`,
 		StrategyFlat)
@@ -144,8 +144,8 @@ func TestConstantPredicate(t *testing.T) {
 func TestDeepChainFourLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for trial := 0; trial < 5; trial++ {
-		e := envRS(rng, 10, 12, 10)
-		e.RegisterRelation("Q", randRelation("Q", 8, rng, "M", "N"))
+		e := envRS(t, rng, 10, 12, 10)
+		loadRel(t, e, randRelation("Q", 8, rng, "M", "N"))
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y IN
@@ -161,7 +161,7 @@ func TestDeepChainFourLevels(t *testing.T) {
 func TestMultipleChainSubqueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 12, 15, 12)
+		e := envRS(t, rng, 12, 15, 12)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V = R.U)
@@ -178,7 +178,7 @@ func TestMultipleChainSubqueries(t *testing.T) {
 // TestEmptyOuterRelation: every strategy copes with empty inputs.
 func TestEmptyOuterRelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	e := envRS(rng, 0, 10, 0)
+	e := envRS(t, rng, 0, 10, 0)
 	for _, src := range []string{
 		`SELECT R.TAG FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V = R.U)`,
 		`SELECT R.TAG FROM R WHERE R.Y NOT IN (SELECT S.Z FROM S WHERE S.V = R.U)`,
@@ -200,7 +200,7 @@ func TestEmptyOuterRelation(t *testing.T) {
 // COUNT arm against an empty inner relation.
 func TestEmptyInnerRelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	e := envRS(rng, 10, 0, 0)
+	e := envRS(t, rng, 10, 0, 0)
 	for _, tc := range []struct {
 		src  string
 		want Strategy

@@ -12,13 +12,8 @@ import (
 
 // datingEnv builds the Example 4.1 database: relations F and M of the
 // dating service with the paper's linguistic terms.
-func datingEnv() *Env {
-	e := NewMemEnv()
-	for name, t := range catalog.PaperTerms() {
-		if err := e.DefineTerm(name, t); err != nil {
-			panic(err)
-		}
-	}
+func datingEnv(t testing.TB) *Env {
+	t.Helper()
 	terms := catalog.PaperTerms()
 	schema := func(name string) *frel.Schema {
 		return frel.NewSchema(name,
@@ -42,8 +37,8 @@ func datingEnv() *Env {
 		frel.NewTuple(1, frel.Crisp(203), frel.Str("Bill"), frel.Num(terms["middle age"]), frel.Num(terms["high"])),
 		frel.NewTuple(1, frel.Crisp(204), frel.Str("Carl"), frel.Num(terms["about 29"]), frel.Num(terms["medium low"])),
 	)
-	e.RegisterRelation("F", f)
-	e.RegisterRelation("M", m)
+	e := heapEnv(t, f, m)
+	e.cat.DefinePaperTerms()
 	return e
 }
 
@@ -79,7 +74,7 @@ func wantAnswer(t *testing.T, got *frel.Relation, want map[string]float64) {
 // TestNaiveExample41 reproduces the paper's Example 4.1: the answer to
 // Query 2 is {Ann: 0.7, Betty: 0.7}.
 func TestNaiveExample41(t *testing.T) {
-	e := datingEnv()
+	e := datingEnv(t)
 	q, err := fsql.ParseQuery(query2)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +89,7 @@ func TestNaiveExample41(t *testing.T) {
 // TestNaiveExample41InnerBlock checks the temporary relation T of
 // Example 4.1: {about 40K: 0.4, high: 1}.
 func TestNaiveExample41InnerBlock(t *testing.T) {
-	e := datingEnv()
+	e := datingEnv(t)
 	q, err := fsql.ParseQuery(`SELECT M.INCOME FROM M WHERE M.AGE = 'middle age'`)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +121,7 @@ func TestNaiveExample41InnerBlock(t *testing.T) {
 // TestNaiveQuery1 evaluates the flat Query 1 of Section 2.2 and checks the
 // degree formula d = min(µF, µM, d(AGE=AGE), d(INCOME > medium high)).
 func TestNaiveQuery1(t *testing.T) {
-	e := datingEnv()
+	e := datingEnv(t)
 	q, err := fsql.ParseQuery(`
 		SELECT F.NAME, M.NAME
 		FROM F, M
@@ -166,7 +161,7 @@ func TestNaiveQuery1(t *testing.T) {
 }
 
 func TestNaiveWithThreshold(t *testing.T) {
-	e := datingEnv()
+	e := datingEnv(t)
 	q, err := fsql.ParseQuery(query2 + " WITH D >= 0.71")
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +176,7 @@ func TestNaiveWithThreshold(t *testing.T) {
 }
 
 func TestNaiveErrors(t *testing.T) {
-	e := datingEnv()
+	e := datingEnv(t)
 	bad := []string{
 		`SELECT F.NAME FROM NOPE`,
 		`SELECT F.NOPE FROM F`,
@@ -203,7 +198,7 @@ func TestNaiveErrors(t *testing.T) {
 }
 
 func TestNaiveGroupBy(t *testing.T) {
-	e := datingEnv()
+	e := datingEnv(t)
 	q, err := fsql.ParseQuery(`SELECT F.NAME, COUNT(F.ID) FROM F GROUPBY F.NAME`)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +220,7 @@ func TestNaiveGroupBy(t *testing.T) {
 
 func TestNaiveStringIn(t *testing.T) {
 	// IN over a string attribute (names), exercising generic value sets.
-	e := datingEnv()
+	e := datingEnv(t)
 	q, err := fsql.ParseQuery(`SELECT F.ID FROM F WHERE F.NAME IN (SELECT M.NAME FROM M)`)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 func TestNearFlatJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 20, 25, 0)
+		e := envRS(t, rng, 20, 25, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG, S.TAG FROM R, S
 			WHERE R.Y NEAR S.Z WITHIN 3`,
@@ -24,7 +24,7 @@ func TestNearFlatJoin(t *testing.T) {
 func TestNearFuzzyTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 20, 25, 0)
+		e := envRS(t, rng, 20, 25, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R, S
 			WHERE R.Y NEAR S.Z WITHIN TRAP(-4, -1, 1, 4) AND S.V > 6`,
@@ -37,7 +37,7 @@ func TestNearFuzzyTolerance(t *testing.T) {
 func TestNearLocalPredicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 20, 0, 0)
+		e := envRS(t, rng, 20, 0, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R WHERE R.Y NEAR 10 WITHIN 4`,
 			StrategyFlat)
@@ -48,7 +48,7 @@ func TestNearLocalPredicate(t *testing.T) {
 func TestNearInsideChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 15, 20, 0)
+		e := envRS(t, rng, 15, 20, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V NEAR R.U WITHIN 2)`,
@@ -61,7 +61,7 @@ func TestNearInsideChain(t *testing.T) {
 func TestNearInAntiJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 15, 20, 0)
+		e := envRS(t, rng, 15, 20, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y NOT IN (SELECT S.Z FROM S WHERE S.V NEAR R.U WITHIN 2)`,
@@ -71,9 +71,7 @@ func TestNearInAntiJoin(t *testing.T) {
 
 // TestNearCrispBandSemantics: exact band-join behavior on crisp data.
 func TestNearCrispBandSemantics(t *testing.T) {
-	e := NewMemEnv()
-	e.RegisterRelation("R", relOf("R", []float64{10, 20, 30}))
-	e.RegisterRelation("S", relOf("S", []float64{12, 26, 300}))
+	e := heapEnv(t, relOf("R", []float64{10, 20, 30}), relOf("S", []float64{12, 26, 300}))
 	q := mustParse(t, `SELECT R.Y, S.Z FROM R, S WHERE R.Y NEAR S.Z WITHIN 5`)
 	rel, err := e.EvalUnnested(q)
 	if err != nil {
@@ -131,11 +129,8 @@ func TestSampledSelectivityImprovesOrder(t *testing.T) {
 
 	query := `SELECT R.A FROM R, S, T WHERE R.A = S.A AND S.B = T.B`
 	run := func(disable bool) int64 {
-		e := NewMemEnv()
+		e := heapEnv(t, rRel, sRel, tRel)
 		e.DisableJoinReorder = disable
-		e.RegisterRelation("R", rRel)
-		e.RegisterRelation("S", sRel)
-		e.RegisterRelation("T", tRel)
 		q := mustParse(t, query)
 		if _, err := e.EvalUnnested(q); err != nil {
 			t.Fatal(err)

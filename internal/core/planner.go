@@ -1,60 +1,41 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/plan"
 )
 
 // Env implements plan.Catalog, feeding the planner schema and statistics
-// resolution without touching the sort-order cache bookkeeping (planning
-// must not register cache entries; only execution's source() does).
+// resolution from the catalog without touching the sort-order cache
+// (planning must not store cache entries; only execution's sorts do).
 
 // BoundSchema resolves a FROM-clause relation reference to its schema
 // with the binding (alias) applied as the schema name, mirroring
 // source()'s schema derivation.
 func (e *Env) BoundSchema(tr fsql.TableRef) (*frel.Schema, error) {
-	name, alias := tr.Name, tr.Binding()
-	if r, ok := e.mem[relKey(name)]; ok {
-		if alias != "" && relKey(alias) != r.Schema.Name {
-			return r.Schema.WithName(relKey(alias)), nil
-		}
-		return r.Schema, nil
+	h, err := e.cat.Relation(tr.Name)
+	if err != nil {
+		return nil, err
 	}
-	if e.cat != nil {
-		h, err := e.cat.Relation(name)
-		if err != nil {
-			return nil, err
-		}
-		if alias != "" && relKey(alias) != h.Schema.Name {
-			return h.Schema.WithName(relKey(alias)), nil
-		}
-		return h.Schema, nil
+	if alias := tr.Binding(); alias != "" && relKey(alias) != h.Schema.Name {
+		return h.Schema.WithName(relKey(alias)), nil
 	}
-	return nil, fmt.Errorf("core: unknown relation %q", name)
+	return h.Schema, nil
 }
 
-// RelStats resolves the planner statistics of a referenced relation;
-// in-memory relations maintain them incrementally, heap files build them
-// with one scan and maintain them on append (see frel.Relation.Stats and
-// storage.HeapFile.Stats). Heap statistics are returned as an independent
+// RelStats resolves the planner statistics of a referenced relation's
+// heap file, which builds them with one scan and maintains them on append
+// (see storage.HeapFile.Stats). They are returned as an independent
 // snapshot: the plan holds them across the statement while the single
 // writer may keep appending (estimates may include uncommitted rows,
 // which only affects costing, never answers).
 func (e *Env) RelStats(tr fsql.TableRef) (*frel.TableStats, error) {
-	if r, ok := e.mem[relKey(tr.Name)]; ok {
-		return r.Stats(), nil
+	h, err := e.cat.Relation(tr.Name)
+	if err != nil {
+		return nil, err
 	}
-	if e.cat != nil {
-		h, err := e.cat.Relation(tr.Name)
-		if err != nil {
-			return nil, err
-		}
-		return h.StatsSnapshot()
-	}
-	return nil, fmt.Errorf("core: unknown relation %q", tr.Name)
+	return h.StatsSnapshot()
 }
 
 // HasOrderIndex implements plan.OrderIndexes: it reports whether the
@@ -63,13 +44,6 @@ func (e *Env) RelStats(tr fsql.TableRef) (*frel.TableStats, error) {
 // execution path will serve from the index. Freshness uses live counts —
 // an index bypassed by a bulk load does not count.
 func (e *Env) HasOrderIndex(tr fsql.TableRef, attr string) bool {
-	if e.cat == nil {
-		return false
-	}
-	if _, ok := e.mem[relKey(tr.Name)]; ok {
-		// A registered in-memory relation shadows the catalog one.
-		return false
-	}
 	sch, err := e.BoundSchema(tr)
 	if err != nil {
 		return false

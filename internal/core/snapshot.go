@@ -32,14 +32,10 @@ type Snapshot struct {
 	live  map[*storage.HeapFile]bool
 }
 
-// takeSnapshot captures a fresh committed cut, or nil when the
-// environment has no write-ahead-logged storage (in-memory environments
-// and NoWAL ablation runs read live, as before — their writes are
+// takeSnapshot captures a fresh committed cut, or nil when the storage
+// has no write-ahead log (NoWAL runs read live; their writes are
 // serialized against readers by the caller).
 func (e *Env) takeSnapshot() *Snapshot {
-	if e.cat == nil {
-		return nil
-	}
 	m := e.cat.Manager().Snapshot()
 	if m == nil {
 		return nil

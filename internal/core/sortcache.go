@@ -12,55 +12,48 @@ import (
 // The sort-order cache. Every merge-join (and group-aggregate join) input
 // must be sorted by the Definition 3.1 interval order, and the paper's
 // workloads sort the same base relations on the same attributes query
-// after query. The environment therefore caches, per (base relation,
-// attribute, order), either the sorted tuples with the flat
-// support-interval key column the merge-join reads (in-memory bases and
-// index-served heaps) or the run set of an external sort, whose merge a
-// hit re-streams, and reuses it as long as the base has not been mutated.
+// after query. The environment therefore caches, per (base heap file,
+// attribute, order), either the run set of an external sort, whose merge
+// a hit re-streams, or the index-served sorted tuples with the flat
+// support-interval key column the merge-join reads, and reuses it as long
+// as the heap has not been mutated.
 //
 // Keying and invalidation contract:
 //
-//   - A cache entry is keyed by the identity (pointer) of the base
-//     relation — the registered *frel.Relation or the catalog's
-//     *storage.HeapFile — plus the resolved attribute index and the
-//     total-order flag. Alias bindings resolve to the same base, so
-//     FROM R and FROM R X share entries.
-//   - Each entry records the base's version counter at build time. Every
-//     mutating operation (Append, SortBy, DedupMax, Threshold on
-//     relations; Append on heap files) bumps the counter, so a lookup
-//     whose stored version disagrees with the live one is a miss and the
-//     entry is rebuilt. Catalog reloads create a new heap-file pointer,
-//     which simply never matches again.
-//   - Only plain scans are cacheable: the source must unwrap to the base
-//     itself (no filters or joins in between), since a filtered stream's
-//     sorted order is not the base relation's.
+//   - A cache entry is keyed by the identity (pointer) of the catalog's
+//     *storage.HeapFile plus the resolved attribute index and the
+//     total-order flag. Alias bindings scan the same heap, so FROM R and
+//     FROM R X share entries.
+//   - Each entry records the heap's version counter at build time (the
+//     snapshot's committed version under snapshot reads). Every append
+//     and rollback bumps the counter, so a lookup whose stored version
+//     disagrees with the visible one is a miss and the entry is rebuilt.
+//     DELETE and catalog reloads create a new heap-file pointer, which
+//     simply never matches again.
+//   - Only plain scans are cacheable: the source must unwrap to the heap
+//     scan itself (no filters or joins in between), since a filtered
+//     stream's sorted order is not the base relation's.
 //
 // Entry counts are bounded by wholesale eviction (sortCacheMaxEntries).
 // The run files of displaced entries, like those of uncached sorts, are
 // dropped when the statement ends, and ReleaseSortCache drops the rest.
 
-const (
-	// sortCacheMaxEntries bounds the entry map; exceeding it wipes the
-	// map (simple, and workloads touch few distinct orders).
-	sortCacheMaxEntries = 64
-	// baseMapMaxEntries bounds the bookkeeping maps that track cacheable
-	// base pointers and memoized alias wrappers.
-	baseMapMaxEntries = 256
-)
+// sortCacheMaxEntries bounds the entry map; exceeding it wipes the map
+// (simple, and workloads touch few distinct orders).
+const sortCacheMaxEntries = 64
 
-// sortKey identifies one cached sort order: the base relation (exactly one
-// of mem/heap set), the resolved attribute index, and whether the
-// tie-broken total order was requested.
+// sortKey identifies one cached sort order: the base heap file, the
+// resolved attribute index, and whether the tie-broken total order was
+// requested.
 type sortKey struct {
-	mem   *frel.Relation
 	heap  *storage.HeapFile
 	attr  int
 	total bool
 }
 
-// sortEntry is one cached sort order: the sorted tuples with their
-// support-key column (in-memory bases and index-served heaps), or the run
-// set of an external sort, whose merge every hit re-streams.
+// sortEntry is one cached sort order: the run set of an external sort,
+// whose merge every hit re-streams, or the sorted tuples with their
+// support-key column of an index-served order.
 type sortEntry struct {
 	version uint64
 	tuples  []frel.Tuple
@@ -68,63 +61,17 @@ type sortEntry struct {
 	runs    *extsort.RunSet
 }
 
-// aliasEntry memoizes the alias wrapper built around a registered base
-// relation, so repeated FROM R X queries resolve to one stable pointer
-// (the sort cache keys on the base, but the wrapper must also stay
-// current with the base's tuples).
-type aliasEntry struct {
-	base    *frel.Relation
-	wrapper *frel.Relation
-	version uint64
-}
-
-// noteMemBase records that rel (possibly an alias wrapper) reads the
-// registered base relation base.
-func (e *Env) noteMemBase(rel, base *frel.Relation) {
-	if e.memBase == nil || len(e.memBase) >= baseMapMaxEntries {
-		e.memBase = make(map[*frel.Relation]*frel.Relation)
-	}
-	e.memBase[rel] = base
-}
-
-// aliasRel returns the memoized alias wrapper for base under aliasKey,
-// refreshing its tuple slice when the base has been mutated since the
-// wrapper was built.
-func (e *Env) aliasRel(nameKey, aliasKey string, base *frel.Relation) *frel.Relation {
-	k := nameKey + "\x00" + aliasKey
-	if ent, ok := e.aliasMemo[k]; ok && ent.base == base {
-		if ent.version != base.Version() {
-			ent.wrapper.Tuples = base.Tuples
-			ent.wrapper.Bump()
-			ent.version = base.Version()
-		}
-		return ent.wrapper
-	}
-	if e.aliasMemo == nil || len(e.aliasMemo) >= baseMapMaxEntries {
-		e.aliasMemo = make(map[string]*aliasEntry)
-	}
-	w := &frel.Relation{Schema: base.Schema.WithName(aliasKey), Tuples: base.Tuples}
-	e.aliasMemo[k] = &aliasEntry{base: base, wrapper: w, version: base.Version()}
-	return w
-}
-
-// cacheableBase resolves src to a cacheable base relation — a plain scan
-// of a registered in-memory relation or of a catalog heap file, at most
-// one of them non-nil — and the base's version as the evaluation sees it.
-func (e *Env) cacheableBase(src exec.Source) (*frel.Relation, *storage.HeapFile, uint64) {
+// cacheableBase resolves src to the heap file it plainly scans, or nil,
+// and the heap's version as the evaluation sees it.
+func (e *Env) cacheableBase(src exec.Source) (*storage.HeapFile, uint64) {
 	s := exec.Unwrap(src)
 	if r, ok := s.(*renameSource); ok {
 		s = exec.Unwrap(r.Source)
 	}
-	switch s := s.(type) {
-	case *exec.MemSource:
-		if b := e.memBase[s.Rel]; b != nil {
-			return b, nil, b.Version()
-		}
-	case *exec.HeapSource:
-		return nil, s.Heap, e.heapVersion(s.Heap)
+	if hs, ok := s.(*exec.HeapSource); ok {
+		return hs.Heap, e.heapVersion(hs.Heap)
 	}
-	return nil, nil, 0
+	return nil, 0
 }
 
 // storeSort caches ent under k. Run sets it displaces (a stale version, or

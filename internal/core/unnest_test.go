@@ -5,9 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/fuzzy"
+	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // randRelation builds a relation with fuzzy numeric attributes A1..Ak over
@@ -38,14 +41,39 @@ func randRelation(name string, n int, rng *rand.Rand, attrs ...string) *frel.Rel
 	return r
 }
 
+// heapEnv returns an environment over a fresh catalog on an in-memory
+// file system, without a write-ahead log, with each relation loaded into
+// a heap named after its schema.
+func heapEnv(t testing.TB, rels ...*frel.Relation) *Env {
+	t.Helper()
+	m, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 64, FS: storage.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEnv(catalog.New(m))
+	for _, rel := range rels {
+		loadRel(t, e, rel)
+	}
+	return e
+}
+
+// loadRel loads rel into a fresh heap of e's catalog named after its
+// schema.
+func loadRel(t testing.TB, e *Env, rel *frel.Relation) {
+	t.Helper()
+	if _, err := workload.LoadRelation(e.cat, rel.Schema.Name, rel); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // envRS builds an environment with random relations R(U, Y, TAG),
 // S(V, Z, TAG) and T(W, P, TAG).
-func envRS(rng *rand.Rand, nR, nS, nT int) *Env {
-	e := NewMemEnv()
-	e.RegisterRelation("R", randRelation("R", nR, rng, "U", "Y"))
-	e.RegisterRelation("S", randRelation("S", nS, rng, "V", "Z"))
-	e.RegisterRelation("T", randRelation("T", nT, rng, "W", "P"))
-	return e
+func envRS(t testing.TB, rng *rand.Rand, nR, nS, nT int) *Env {
+	t.Helper()
+	return heapEnv(t,
+		randRelation("R", nR, rng, "U", "Y"),
+		randRelation("S", nS, rng, "V", "Z"),
+		randRelation("T", nT, rng, "W", "P"))
 }
 
 // checkEquivalence evaluates the query with both evaluators and requires
@@ -67,7 +95,7 @@ func checkEquivalence(t *testing.T, e *Env, src string, wantStrategy Strategy) {
 	if err != nil {
 		t.Fatalf("EvalUnnested(%q): %v", src, err)
 	}
-	if !naive.Equal(unnested, 1e-9) {
+	if !naive.Equal(unnested, 0) {
 		t.Fatalf("equivalence violated for %q:\nnaive (%d tuples): %v\nunnested (%d tuples): %v",
 			src, naive.Len(), naive.Tuples, unnested.Len(), unnested.Tuples)
 	}
@@ -77,7 +105,7 @@ func checkEquivalence(t *testing.T, e *Env, src string, wantStrategy Strategy) {
 func TestTheorem41TypeN(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 15; trial++ {
-		e := envRS(rng, 25, 35, 0)
+		e := envRS(t, rng, 25, 35, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.U > 4 AND R.Y IN (SELECT S.Z FROM S WHERE S.V < 18)`,
@@ -89,7 +117,7 @@ func TestTheorem41TypeN(t *testing.T) {
 func TestTheorem42TypeJ(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 15; trial++ {
-		e := envRS(rng, 25, 35, 0)
+		e := envRS(t, rng, 25, 35, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V = R.U)`,
@@ -101,7 +129,7 @@ func TestTheorem42TypeJ(t *testing.T) {
 func TestTheorem51TypeJX(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 15; trial++ {
-		e := envRS(rng, 20, 30, 0)
+		e := envRS(t, rng, 20, 30, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y NOT IN (SELECT S.Z FROM S WHERE S.V = R.U)`,
@@ -113,7 +141,7 @@ func TestTheorem51TypeJX(t *testing.T) {
 func TestTheorem51TypeNX(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 15; trial++ {
-		e := envRS(rng, 20, 30, 0)
+		e := envRS(t, rng, 20, 30, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y NOT IN (SELECT S.Z FROM S WHERE S.V > 8)`,
@@ -126,7 +154,7 @@ func TestTheorem51TypeNX(t *testing.T) {
 func TestTheorem51WithOuterAndInnerPredicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 15; trial++ {
-		e := envRS(rng, 20, 30, 0)
+		e := envRS(t, rng, 20, 30, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.U < 16 AND R.Y NOT IN
@@ -146,7 +174,7 @@ func TestTheorem61TypeJA(t *testing.T) {
 				SELECT R.TAG FROM R
 				WHERE R.Y %s (SELECT %s(S.Z) FROM S WHERE S.V = R.U)`, op, agg)
 			for trial := 0; trial < 5; trial++ {
-				e := envRS(rng, 20, 30, 0)
+				e := envRS(t, rng, 20, 30, 0)
 				checkEquivalence(t, e, src, StrategyGroupAgg)
 			}
 		}
@@ -163,7 +191,7 @@ func TestTheorem61Count(t *testing.T) {
 			WHERE R.Y %s (SELECT COUNT(S.Z) FROM S WHERE S.V = R.U)`, op)
 		for trial := 0; trial < 5; trial++ {
 			// Small inner relation: many outer tuples have empty groups.
-			e := envRS(rng, 25, 6, 0)
+			e := envRS(t, rng, 25, 6, 0)
 			checkEquivalence(t, e, src, StrategyGroupAgg)
 		}
 	}
@@ -173,7 +201,7 @@ func TestTheorem61Count(t *testing.T) {
 func TestTheorem61InnerPredicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 20, 30, 0)
+		e := envRS(t, rng, 20, 30, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.U > 2 AND R.Y < (SELECT MAX(S.Z) FROM S WHERE S.V = R.U AND S.Z < 20)`,
@@ -189,7 +217,7 @@ func TestTheorem71TypeJALL(t *testing.T) {
 			SELECT R.TAG FROM R
 			WHERE R.Y %s ALL (SELECT S.Z FROM S WHERE S.V = R.U)`, op)
 		for trial := 0; trial < 5; trial++ {
-			e := envRS(rng, 20, 30, 0)
+			e := envRS(t, rng, 20, 30, 0)
 			checkEquivalence(t, e, src, StrategyAllAnti)
 		}
 	}
@@ -204,7 +232,7 @@ func TestQuantifierAny(t *testing.T) {
 			SELECT R.TAG FROM R
 			WHERE R.Y < %s (SELECT S.Z FROM S WHERE S.V = R.U)`, q)
 		for trial := 0; trial < 5; trial++ {
-			e := envRS(rng, 20, 30, 0)
+			e := envRS(t, rng, 20, 30, 0)
 			checkEquivalence(t, e, src, StrategyChain)
 		}
 	}
@@ -215,7 +243,7 @@ func TestQuantifierAny(t *testing.T) {
 func TestTheorem81Chain(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 15, 20, 25)
+		e := envRS(t, rng, 15, 20, 25)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y IN
@@ -232,7 +260,7 @@ func TestTheorem81Chain(t *testing.T) {
 func TestChainUncorrelatedLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 15, 20, 25)
+		e := envRS(t, rng, 15, 20, 25)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y IN
@@ -251,7 +279,7 @@ func TestUncorrelatedScalar(t *testing.T) {
 			SELECT R.TAG FROM R
 			WHERE R.Y >= (SELECT %s(S.Z) FROM S WHERE S.V < 10)`, agg)
 		for trial := 0; trial < 5; trial++ {
-			e := envRS(rng, 20, 25, 0)
+			e := envRS(t, rng, 20, 25, 0)
 			checkEquivalence(t, e, src, StrategyUncorrelated)
 		}
 	}
@@ -263,7 +291,7 @@ func TestUncorrelatedScalar(t *testing.T) {
 func TestFlatQueriesViaPlanner(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 15, 20, 12)
+		e := envRS(t, rng, 15, 20, 12)
 		checkEquivalence(t, e, `
 			SELECT R.TAG, S.TAG FROM R, S
 			WHERE R.Y = S.Z AND R.U < 14`,
@@ -279,7 +307,7 @@ func TestFlatQueriesViaPlanner(t *testing.T) {
 func TestWithThresholdEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 20, 30, 0)
+		e := envRS(t, rng, 20, 30, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V = R.U)
@@ -291,7 +319,7 @@ func TestWithThresholdEquivalence(t *testing.T) {
 // TestExample41Unnested: the unnested evaluation of Query 2 reproduces the
 // paper's Example 4.1 answer.
 func TestExample41Unnested(t *testing.T) {
-	e := datingEnv()
+	e := datingEnv(t)
 	q, err := fsql.ParseQuery(query2)
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +338,7 @@ func TestExample41Unnested(t *testing.T) {
 // naive evaluator but still produce answers.
 func TestNaiveFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	e := envRS(rng, 10, 12, 0)
+	e := envRS(t, rng, 10, 12, 8)
 	cases := []string{
 		// Two subquery predicates where one is not chain-compatible.
 		`SELECT R.TAG FROM R
@@ -319,7 +347,6 @@ func TestNaiveFallbacks(t *testing.T) {
 		`SELECT R.TAG FROM R
 		 WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V < ALL (SELECT T.P FROM T))`,
 	}
-	e.RegisterRelation("T", randRelation("T", 8, rng, "W", "P"))
 	for _, src := range cases {
 		q, err := fsql.ParseQuery(src)
 		if err != nil {
@@ -337,7 +364,7 @@ func TestNaiveFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !naive.Equal(unnested, 1e-9) {
+		if !naive.Equal(unnested, 0) {
 			t.Errorf("fallback result differs for %q", src)
 		}
 	}
@@ -346,8 +373,7 @@ func TestNaiveFallbacks(t *testing.T) {
 // TestAliasReuseFallsBack: chain flattening requires distinct bindings.
 func TestAliasReuseFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	e := NewMemEnv()
-	e.RegisterRelation("R", randRelation("R", 8, rng, "U", "Y"))
+	e := heapEnv(t, randRelation("R", 8, rng, "U", "Y"))
 	q, err := fsql.ParseQuery(`
 		SELECT A.TAG FROM R A
 		WHERE A.Y IN (SELECT A.U FROM R A WHERE A.Y > 4)`)
@@ -365,7 +391,7 @@ func TestAliasReuseFallsBack(t *testing.T) {
 func TestStringLinkNotIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 15, 20, 0)
+		e := envRS(t, rng, 15, 20, 0)
 		checkEquivalence(t, e, `
 			SELECT R.U FROM R
 			WHERE R.TAG NOT IN (SELECT S.TAG FROM S WHERE S.V = R.U)`,
@@ -378,7 +404,7 @@ func TestStringLinkNotIn(t *testing.T) {
 func TestSelectMultipleItems(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 10; trial++ {
-		e := envRS(rng, 20, 25, 0)
+		e := envRS(t, rng, 20, 25, 0)
 		checkEquivalence(t, e, `
 			SELECT R.TAG, R.U FROM R
 			WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V = R.U)`,

@@ -10,9 +10,8 @@ import (
 // relation cardinalities, join selectivities and sort work): tuple
 // counts, per-attribute support-interval extents, a support-width
 // histogram, and a distinct-support estimate. The statistics are built
-// lazily from a full pass over the relation and then maintained
-// incrementally alongside the relation's version counter (see
-// Relation.Stats and storage.HeapFile.Stats).
+// lazily from a full pass over a heap file and then maintained
+// incrementally as tuples are appended (see storage.HeapFile.Stats).
 
 const (
 	// kmvK is the distinct-estimate sketch size: up to kmvK distinct

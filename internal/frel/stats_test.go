@@ -8,20 +8,15 @@ import (
 	"repro/internal/fuzzy"
 )
 
-func statsSchema() *Schema {
-	return NewSchema("T",
-		Attribute{Name: "A", Kind: KindNumber},
-		Attribute{Name: "S", Kind: KindString})
-}
-
 // TestTableStatsObserve checks extents, widths, the crisp bucket and the
 // exact distinct count on a small relation.
 func TestTableStatsObserve(t *testing.T) {
-	r := NewRelation(statsSchema())
-	r.Append(NewTuple(1, Crisp(10), Str("x")))
-	r.Append(NewTuple(1, Num(fuzzy.Trapezoid{A: 0, B: 1, C: 3, D: 4}), Str("y")))
-	r.Append(NewTuple(1, Crisp(10), Str("x")))
-	ts := r.Stats()
+	ts := NewTableStats(2) // T(A NUMBER, S STRING)
+	ts.ObserveAll([]Tuple{
+		NewTuple(1, Crisp(10), Str("x")),
+		NewTuple(1, Num(fuzzy.Trapezoid{A: 0, B: 1, C: 3, D: 4}), Str("y")),
+		NewTuple(1, Crisp(10), Str("x")),
+	})
 	if ts.Rows != 3 {
 		t.Fatalf("Rows = %d, want 3", ts.Rows)
 	}
@@ -70,32 +65,6 @@ func TestKMVEstimate(t *testing.T) {
 		if rel := math.Abs(got-float64(n)) / float64(n); rel > 0.5 {
 			t.Fatalf("n=%d: estimate %v off by %.0f%%", n, got, rel*100)
 		}
-	}
-}
-
-// TestStatsIncremental checks that Append and Threshold keep fresh
-// statistics current without a rebuild, matching a from-scratch build.
-func TestStatsIncremental(t *testing.T) {
-	r := NewRelation(statsSchema())
-	r.Append(NewTuple(1, Crisp(1), Str("a")))
-	ts := r.Stats()
-	r.Append(NewTuple(0.4, Crisp(2), Str("b")), NewTuple(0.2, Crisp(3), Str("c")))
-	if got := r.Stats(); got != ts {
-		t.Fatal("Append rebuilt statistics instead of maintaining them")
-	}
-	if ts.Rows != 3 || ts.Distinct(0) != 3 {
-		t.Fatalf("incremental stats: rows=%d distinct=%v", ts.Rows, ts.Distinct(0))
-	}
-	r.Threshold(0.3)
-	ts2 := r.Stats()
-	if ts2.Rows != 2 || ts2.Distinct(0) != 2 {
-		t.Fatalf("post-threshold stats: rows=%d distinct=%v", ts2.Rows, ts2.Distinct(0))
-	}
-	// An out-of-band mutation (Bump) must force a lazy rebuild.
-	r.Tuples = r.Tuples[:1]
-	r.Bump()
-	if got := r.Stats(); got.Rows != 1 {
-		t.Fatalf("stale stats survived Bump: rows=%d", got.Rows)
 	}
 }
 

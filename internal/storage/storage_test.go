@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/frel"
+	"repro/internal/fuzzy"
 )
 
 func testSchema() *frel.Schema {
@@ -423,4 +424,87 @@ func TestHeapVersionAndNextBatch(t *testing.T) {
 	if i != n {
 		t.Fatalf("batched scan saw %d tuples, want %d", i, n)
 	}
+}
+
+// TestHeapStatsIncremental checks the planner statistics the engine plans
+// with: statistics maintained by Append equal a from-scratch build over
+// the same tuples, an earlier StatsSnapshot does not move with later
+// appends, and a reopened heap rebuilds the same statistics.
+func TestHeapStatsIncremental(t *testing.T) {
+	dir := t.TempDir()
+	m := NewManager(dir, 8)
+	schema := testSchema()
+	h, err := m.CreateHeap("r", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tuples []frel.Tuple
+	appendN := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			c := float64(len(tuples) % 150)
+			tup := frel.NewTuple(0.5,
+				frel.Num(fuzzy.Tri(c-float64(i%3), c, c+1)),
+				frel.Str(fmt.Sprintf("name-%d", len(tuples)%90)))
+			if err := h.Append(tup); err != nil {
+				t.Fatal(err)
+			}
+			tuples = append(tuples, tup)
+		}
+	}
+	fromScratch := func(ts []frel.Tuple) *frel.TableStats {
+		s := frel.NewTableStats(len(schema.Attrs))
+		s.ObserveAll(ts)
+		return s
+	}
+	check := func(what string, got, want *frel.TableStats) {
+		t.Helper()
+		if got.Rows != want.Rows {
+			t.Fatalf("%s: Rows = %d, want %d", what, got.Rows, want.Rows)
+		}
+		for i := range schema.Attrs {
+			if g, w := got.Distinct(i), want.Distinct(i); g != w {
+				t.Fatalf("%s: Distinct(%d) = %v, want %v", what, i, g, w)
+			}
+			if g, w := got.AvgWidth(i), want.AvgWidth(i); g != w {
+				t.Fatalf("%s: AvgWidth(%d) = %v, want %v", what, i, g, w)
+			}
+			if g, w := got.Span(i), want.Span(i); g != w {
+				t.Fatalf("%s: Span(%d) = %v, want %v", what, i, g, w)
+			}
+		}
+	}
+
+	appendN(300)
+	built, err := h.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := h.StatsSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(400)
+	live, err := h.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live != built {
+		t.Fatal("Append rebuilt the statistics instead of maintaining them")
+	}
+	check("incremental", live, fromScratch(tuples))
+	check("earlier snapshot", snap, fromScratch(tuples[:300]))
+
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := NewManager(dir, 8).OpenHeap("r", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := h2.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopened", reopened, fromScratch(tuples))
 }

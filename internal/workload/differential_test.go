@@ -1,10 +1,15 @@
 package workload
 
 import (
+	"os"
+	"strconv"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/frel"
 	"repro/internal/fsql"
+	"repro/internal/storage"
 )
 
 // expectedStrategy is the rewrite each class must classify to; a naive
@@ -18,24 +23,61 @@ var expectedStrategy = map[string]core.Strategy{
 	"JALL":     core.StrategyAllAnti,
 }
 
-// diffSeeds is the number of random cases per class; the acceptance bar
-// of the harness is >= 200 pairs per class with zero mismatches.
+// diffSeeds is the number of random cases per class and seed stratum; the
+// acceptance bar of the harness is >= 200 pairs per class with zero
+// mismatches.
 const diffSeeds = 200
+
+// heapCatalog loads rels into heaps, named after their schemas, of a fresh
+// catalog on an in-memory file system without a write-ahead log.
+func heapCatalog(t testing.TB, rels ...*frel.Relation) *catalog.Catalog {
+	t.Helper()
+	m, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 64, FS: storage.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New(m)
+	for _, rel := range rels {
+		if _, err := LoadRelation(cat, rel.Schema.Name, rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
+}
+
+// seedStratum reads KERNEL_SEED, the seed stratum the differential tests
+// sweep: stratum s covers seeds [s*n, (s+1)*n) of a test drawing n seeds
+// per class, so the CI matrix legs sweep disjoint seed ranges on top of
+// the default stratum 0.
+func seedStratum(t *testing.T) int64 {
+	t.Helper()
+	v := os.Getenv("KERNEL_SEED")
+	if v == "" {
+		return 0
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		t.Fatalf("bad KERNEL_SEED %q: %v", v, err)
+	}
+	return n
+}
 
 // TestDifferentialUnnesting validates the equivalence theorems 4.1-8.1 by
 // randomized differential testing: for every class and seed, the naive
-// nested evaluation and the unnested rewrite must return the same tuples
-// with bit-identical membership degrees (zero tolerance).
+// nested evaluation and the unnested rewrite over catalog heaps must
+// return the same tuples with bit-identical membership degrees (zero
+// tolerance). KERNEL_SEED selects the seed stratum.
 func TestDifferentialUnnesting(t *testing.T) {
-	seeds := diffSeeds
+	seeds := int64(diffSeeds)
 	if testing.Short() {
 		seeds = 25
 	}
+	first := seedStratum(t) * diffSeeds
 	for _, class := range Classes {
 		class := class
 		t.Run(class, func(t *testing.T) {
 			t.Parallel()
-			for seed := int64(0); seed < int64(seeds); seed++ {
+			for seed := first; seed < first+seeds; seed++ {
 				c, err := NewDiffCase(class, seed)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
@@ -44,9 +86,7 @@ func TestDifferentialUnnesting(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: parse %q: %v", seed, c.Query, err)
 				}
-				env := core.NewMemEnv()
-				env.RegisterRelation("R", c.R)
-				env.RegisterRelation("S", c.S)
+				env := core.NewEnv(heapCatalog(t, c.R, c.S))
 
 				if plan := env.Explain(q); plan.Strategy != expectedStrategy[class] {
 					t.Fatalf("seed %d: class %s classified as %v (%s), want %v",

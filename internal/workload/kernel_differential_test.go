@@ -2,8 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -27,10 +25,8 @@ var kernelQueries = map[string]string{
 	"JALL":     `SELECT R.K FROM R WHERE R.A = R.B AND R.B > ALL (SELECT S.B FROM S WHERE S.A = R.A)%s`,
 }
 
-// kernelDiffSeeds is the number of random cases per class and matrix
-// stratum. KERNEL_SEED selects the stratum: stratum s covers seeds
-// [s*kernelDiffSeeds, (s+1)*kernelDiffSeeds), so the CI matrix legs sweep
-// disjoint seed ranges on top of the default stratum 0.
+// kernelDiffSeeds is the number of random cases per class and seed
+// stratum (see seedStratum).
 const kernelDiffSeeds = 50
 
 // TestDifferentialKernels is the kernel-differential property test: for
@@ -45,19 +41,12 @@ func TestDifferentialKernels(t *testing.T) {
 	if testing.Short() {
 		seeds = 10
 	}
-	stratum := int64(0)
-	if v := os.Getenv("KERNEL_SEED"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			t.Fatalf("bad KERNEL_SEED %q: %v", v, err)
-		}
-		stratum = n
-	}
+	first := seedStratum(t) * kernelDiffSeeds
 	for _, class := range Classes {
 		class := class
 		t.Run(class, func(t *testing.T) {
 			t.Parallel()
-			for seed := stratum * kernelDiffSeeds; seed < stratum*kernelDiffSeeds+seeds; seed++ {
+			for seed := first; seed < first+seeds; seed++ {
 				c, err := NewDiffCase(class, seed)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
@@ -72,18 +61,13 @@ func TestDifferentialKernels(t *testing.T) {
 					t.Fatalf("seed %d: parse %q: %v", seed, query, err)
 				}
 
-				newEnv := func() *core.Env {
-					env := core.NewMemEnv()
-					env.RegisterRelation("R", c.R)
-					env.RegisterRelation("S", c.S)
-					return env
-				}
-				naive, err := newEnv().EvalNaive(q)
+				cat := heapCatalog(t, c.R, c.S)
+				naive, err := core.NewEnv(cat).EvalNaive(q)
 				if err != nil {
 					t.Fatalf("seed %d: naive: %v", seed, err)
 				}
 				for _, workers := range []int{1, 4} {
-					env := newEnv()
+					env := core.NewEnv(cat)
 					env.Parallelism = workers
 					if plan := env.Explain(q); plan.Strategy != expectedStrategy[class] {
 						t.Fatalf("seed %d: workers %d: class %s classified as %v (%s), want %v",

@@ -58,16 +58,9 @@ func TestJoinOrderInvariance(t *testing.T) {
 		}
 		for seed := 0; seed < seeds; seed++ {
 			rng := rand.New(rand.NewSource(int64(qi*100000 + seed)))
-			rels := map[string]*frel.Relation{
-				"R": plannerRel(t, rng, "R"),
-				"S": plannerRel(t, rng, "S"),
-				"T": plannerRel(t, rng, "T"),
-			}
+			cat := heapCatalog(t, plannerRel(t, rng, "R"), plannerRel(t, rng, "S"), plannerRel(t, rng, "T"))
 			newEnv := func(disableReorder bool) *core.Env {
-				env := core.NewMemEnv()
-				for name, r := range rels {
-					env.RegisterRelation(name, r)
-				}
+				env := core.NewEnv(cat)
 				env.DisableJoinReorder = disableReorder
 				return env
 			}
@@ -87,7 +80,7 @@ func TestJoinOrderInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: syntactic-order eval of %q: %v", seed, src, err)
 			}
-			if !chosen.Equal(syntactic, 1e-9) {
+			if !chosen.Equal(syntactic, 0) {
 				t.Fatalf("seed %d: join order changed the answer of %q\ncost-chosen (%d tuples):\n%v\nsyntactic (%d tuples):\n%v",
 					seed, src, chosen.Len(), chosen, syntactic.Len(), syntactic)
 			}
@@ -95,7 +88,7 @@ func TestJoinOrderInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: naive eval of %q: %v", seed, src, err)
 			}
-			if !chosen.Equal(naive, 1e-9) {
+			if !chosen.Equal(naive, 0) {
 				t.Fatalf("seed %d: planner answer differs from naive on %q\nplanner (%d tuples):\n%v\nnaive (%d tuples):\n%v",
 					seed, src, chosen.Len(), chosen, naive.Len(), naive)
 			}

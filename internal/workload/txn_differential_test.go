@@ -47,7 +47,7 @@ func TestDifferentialTransactionalLeg(t *testing.T) {
 
 				// Snapshot leg: the same query inside a transaction.
 				mustScript(t, sess, `BEGIN`)
-				if got := runQuery(t, sess, c.Query); !base.Equal(got, 1e-9) {
+				if got := runQuery(t, sess, c.Query); !base.Equal(got, 0) {
 					t.Fatalf("seed %d: query answer changed by merely being inside a transaction", seed)
 				}
 
@@ -67,7 +67,7 @@ func TestDifferentialTransactionalLeg(t *testing.T) {
 				if got := readRelation(t, sess, "S"); !preS.Equal(got, 0) {
 					t.Fatalf("seed %d: S not bit-identical after rollback (%d vs %d tuples)", seed, got.Len(), preS.Len())
 				}
-				if got := runQuery(t, sess, c.Query); !base.Equal(got, 1e-9) {
+				if got := runQuery(t, sess, c.Query); !base.Equal(got, 0) {
 					t.Fatalf("seed %d: query answer changed by a rolled-back transaction", seed)
 				}
 
@@ -87,7 +87,7 @@ func TestDifferentialTransactionalLeg(t *testing.T) {
 				}
 				want := runQuery(t, ref, c.Query)
 				ref.Close()
-				if !want.Equal(committed, 1e-9) {
+				if !want.Equal(committed, 0) {
 					t.Fatalf("seed %d: committed-transaction answer differs from auto-commit\nauto-commit (%d tuples):\n%v\ntransaction (%d tuples):\n%v",
 						seed, want.Len(), want, committed.Len(), committed)
 				}

@@ -109,7 +109,13 @@ func Load(cat *catalog.Catalog, p Params) (*storage.HeapFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := cat.CreateRelation(p.Name, rel.Schema)
+	return LoadRelation(cat, p.Name, rel)
+}
+
+// LoadRelation writes rel's tuples to a fresh heap file named name in the
+// catalog, flushing it to disk.
+func LoadRelation(cat *catalog.Catalog, name string, rel *frel.Relation) (*storage.HeapFile, error) {
+	h, err := cat.CreateRelation(name, rel.Schema)
 	if err != nil {
 		return nil, err
 	}

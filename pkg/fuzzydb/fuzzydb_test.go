@@ -69,7 +69,7 @@ func TestQuery2PaperAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Equal(naive, 1e-9) {
+	if !res.Equal(naive, 0) {
 		t.Errorf("unnested and naive answers differ:\n%s\nvs\n%s", res, naive)
 	}
 }

@@ -266,7 +266,7 @@ func TestConcurrentSessions(t *testing.T) {
 					errc <- err
 					return
 				}
-				if !res.Equal(want, 1e-9) {
+				if !res.Equal(want, 0) {
 					errc <- fmt.Errorf("concurrent answer diverged:\n%s", res)
 					return
 				}
