@@ -85,7 +85,7 @@ func main() {
 	printResult(naive, "    ")
 	fmt.Println("  unnested merge-join evaluation:")
 	printResult(unnested, "    ")
-	if naive.Equal(unnested, 1e-9) {
+	if naive.Equal(unnested, 0) {
 		fmt.Println("  ✓ identical fuzzy relations (Theorem 4.1)")
 	} else {
 		fmt.Println("  ✗ MISMATCH")

@@ -83,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if naive.Equal(rel, 1e-9) {
+	if naive.Equal(rel, 0) {
 		fmt.Println("\n✓ equivalent to the naive nested evaluation (Theorem 8.1)")
 	} else {
 		fmt.Println("\n✗ MISMATCH")

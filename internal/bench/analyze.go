@@ -69,7 +69,7 @@ func (c Config) AnalyzePair(nOuter, nInner int) (*AnalyzeReport, error) {
 		rep.Methods[m.String()] = methodStats(es)
 		answers[i] = rel
 	}
-	if cfg.Verify && !answers[0].Equal(answers[1], 1e-9) {
+	if cfg.Verify && !answers[0].Equal(answers[1], 0) {
 		return nil, fmt.Errorf("bench: methods disagree (%d vs %d tuples)", answers[0].Len(), answers[1].Len())
 	}
 	return rep, nil

@@ -200,7 +200,7 @@ func (c Config) MeasurePair(nOuter, nInner int) (nested, merged Measurement, err
 	if err != nil {
 		return nested, merged, err
 	}
-	if cfg.Verify && !ansN.Equal(ansM, 1e-9) {
+	if cfg.Verify && !ansN.Equal(ansM, 0) {
 		return nested, merged, fmt.Errorf("bench: methods disagree (%d vs %d tuples)", ansN.Len(), ansM.Len())
 	}
 	return nested, merged, nil

@@ -198,7 +198,7 @@ func (c Config) runEngine(name string, nOuter, nInner, fanout, tupleBytes, worke
 		if err != nil {
 			return EngineRun{}, err
 		}
-		if cold != nil && !cold.Equal(res, 1e-9) {
+		if cold != nil && !cold.Equal(res, 0) {
 			return EngineRun{}, fmt.Errorf("bench: %s: cold runs disagree (%d vs %d tuples)", name, cold.Len(), res.Len())
 		}
 		cold = res
@@ -216,7 +216,7 @@ func (c Config) runEngine(name string, nOuter, nInner, fanout, tupleBytes, worke
 		if err != nil {
 			return EngineRun{}, err
 		}
-		if !cold.Equal(warm, 1e-9) {
+		if !cold.Equal(warm, 0) {
 			return EngineRun{}, fmt.Errorf("bench: %s: warm run disagrees with cold run (%d vs %d tuples)", name, cold.Len(), warm.Len())
 		}
 		if i == 0 || d < warmWall {

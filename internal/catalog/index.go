@@ -2,7 +2,7 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/frel"
@@ -121,9 +121,7 @@ func (c *Catalog) buildIndex(ix *Index, h *storage.HeapFile) error {
 	}
 	// Stable: Definition 3.1 ties stay in base-heap position order, the
 	// order a single-run stable sort of the relation would produce.
-	sort.SliceStable(entries, func(i, j int) bool {
-		return storage.CompareEntries(entries[i], entries[j]) < 0
-	})
+	slices.SortStableFunc(entries, storage.CompareEntries)
 	ih, err := c.mgr.CreateHeap(indexHeapName(ix.Rel, ix.Attr), storage.IndexSchema())
 	if err != nil {
 		return err
@@ -192,7 +190,7 @@ func (c *Catalog) Indexes() []string {
 		names = append(names, n)
 	}
 	c.mu.RUnlock()
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 

@@ -261,7 +261,7 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 		if err != nil {
 			return nil, err
 		}
-		am, err := exec.NewMergeAntiMin(sortedOuter, sortedInner, a.RangeOuter, a.RangeInner, penalty, &e.Counters)
+		am, err := exec.NewMergeAntiMin(sortedOuter, sortedInner, a.RangeOuter, a.RangeInner, penalty, &e.Counters, e.workers())
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +283,7 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 	return e.finishProject(result, p.Proj().Items, p.Root.Shape)
 }
 
-// execGroupAggPlan runs the pipelined group-aggregate join of Queries JA′
+// execGroupAggPlan runs the sorted group-aggregate join of Queries JA′
 // and COUNT′ (Theorem 6.1).
 func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, error) {
 	outer, err := e.compileLeaf(g.Outer)
@@ -310,7 +310,7 @@ func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, 
 			return nil, err
 		}
 	}
-	ga, err := exec.NewGroupAggJoin(sortedOuter, inner, g.URef, g.VRef, g.Op2, g.ZRef, g.Agg, g.YRef, g.CmpOp, &e.Counters)
+	ga, err := exec.NewGroupAggJoin(sortedOuter, inner, g.URef, g.VRef, g.Op2, g.ZRef, g.Agg, g.YRef, g.CmpOp, &e.Counters, e.workers())
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,8 @@
 package exec
 
 import (
-	"fmt"
-
 	"repro/internal/frel"
+	"repro/internal/fuzzy"
 )
 
 // MergeAntiMin evaluates the group-minimum anti-join pattern produced by
@@ -27,13 +26,15 @@ type MergeAntiMin struct {
 	// measures (see KernelMergeJoin.Stats for the counting conventions).
 	Stats *OpStats
 
-	oi, ii int
+	oi, ii  int
+	workers int
 }
 
-// NewMergeAntiMin builds the operator; inputs must be sorted like for
-// KernelMergeJoin, and Penalty must evaluate to 1 for pairs whose
-// join-attribute supports do not intersect.
-func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, penalty JoinPred, counters *Counters) (*MergeAntiMin, error) {
+// NewMergeAntiMin builds the operator with the given worker count (0 =
+// GOMAXPROCS); inputs must be sorted like for KernelMergeJoin, and Penalty
+// must evaluate to 1 for pairs whose join-attribute supports do not
+// intersect.
+func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, penalty JoinPred, counters *Counters, workers int) (*MergeAntiMin, error) {
 	oi, ii, err := checkJoinAttrs(outer, inner, outerAttr, innerAttr)
 	if err != nil {
 		return nil, err
@@ -41,10 +42,13 @@ func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, penalty J
 	if counters == nil {
 		counters = &Counters{}
 	}
+	if workers <= 0 {
+		workers = DefaultParallelism()
+	}
 	return &MergeAntiMin{
 		Outer: outer, Inner: inner,
 		OuterAttr: outerAttr, InnerAttr: innerAttr,
-		Penalty: penalty, Counters: counters,
+		Penalty: penalty, Counters: counters, workers: workers,
 		oi: oi, ii: ii,
 	}, nil
 }
@@ -52,129 +56,43 @@ func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, penalty J
 // Schema implements Source: the output carries the outer tuples.
 func (j *MergeAntiMin) Schema() *frel.Schema { return j.Outer.Schema() }
 
-// Open implements Source.
+// Open implements Source: each morsel of the merge sweep takes, per outer
+// tuple, the minimum penalty over its Rng(r) window.
 func (j *MergeAntiMin) Open() (BatchIterator, error) {
-	outerIt, err := j.Outer.Open()
-	if err != nil {
-		return nil, err
-	}
-	innerIt, err := j.Inner.Open()
-	if err != nil {
-		outerIt.Close()
-		return nil, err
-	}
-	return &antiMinBatchIterator{
-		j:     j,
-		outer: outerIt,
-		win:   newBatchWindow(innerIt, j.ii),
-		loc:   newBatchLocals(),
-	}, nil
-}
-
-type antiMinBatchIterator struct {
-	j     *MergeAntiMin
-	outer BatchIterator
-	win   *batchWindow
-
-	obatch []frel.Tuple
-	okeys  []frel.SupportKey
-	opos   int
-
-	prevBegin float64
-	seenAny   bool
-
-	out []frel.Tuple
-	loc batchLocals
-
-	err  error
-	done bool
-}
-
-func (it *antiMinBatchIterator) NextBatch() ([]frel.Tuple, bool) {
-	if it.err != nil || it.done {
-		return nil, false
-	}
-	j := it.j
-	if it.out == nil {
-		it.out = make([]frel.Tuple, 0, BatchSize)
-	}
-	it.out = it.out[:0]
-	for len(it.out) < BatchSize {
-		for it.opos >= len(it.obatch) {
-			b, ok := it.outer.NextBatch()
-			if !ok {
-				if e := it.outer.Err(); e != nil {
-					it.err = e
+	return runSweep(j.Outer, j.Inner, j.oi, j.ii, fuzzy.Trapezoid{}, j.workers, j.Counters, j.Stats, func(m *sweepMorsel) []frel.Tuple {
+		loc := &m.loc
+		var out []frel.Tuple
+		for o := m.oLo; o < m.oHi; o++ {
+			lo, hi := m.oKeys[o].Lo, m.oKeys[o].Hi
+			start, end := m.window(lo, hi)
+			l := m.outer[o]
+			d := l.D
+			var rng int64
+			for k := start; k < end; k++ {
+				loc.cmp++
+				if !m.hits(k, lo, hi) {
+					continue // Penalty would be 1
 				}
-				it.done = true
-				return it.finish()
-			}
-			it.obatch, it.okeys, it.opos = b, batchKeys(it.outer), 0
-		}
-		l := it.obatch[it.opos]
-		var lo, hi float64
-		if it.okeys != nil {
-			k := it.okeys[it.opos]
-			lo, hi = k.Lo, k.Hi
-		} else {
-			lo, hi = l.Values[j.oi].Num.Support()
-		}
-		it.opos++
-		if it.seenAny && lo < it.prevBegin {
-			it.err = fmt.Errorf("exec: merge anti-join outer input is not sorted by the Definition 3.1 order")
-			return it.finish()
-		}
-		it.prevBegin, it.seenAny = lo, true
-		it.win.advance(lo)
-		it.win.extend(hi)
-		if it.win.err != nil {
-			it.err = it.win.err
-			return it.finish()
-		}
-		d := l.D
-		var rng int64
-		active := it.win.active()
-		for i := range active {
-			e := &active[i]
-			it.loc.cmp++
-			if !(lo <= e.hi && e.lo <= hi) {
-				continue // Penalty would be 1
-			}
-			rng++
-			it.loc.stCmp++
-			it.loc.stDeg++
-			it.loc.deg++
-			if g := j.Penalty(l, e.t); g < d {
-				d = g
-				if d == 0 {
-					break
+				rng++
+				loc.stCmp++
+				loc.stDeg++
+				loc.deg++
+				if g := j.Penalty(l, m.inner[k]); g < d {
+					d = g
+					if d == 0 {
+						break
+					}
 				}
 			}
+			loc.observeRng(rng)
+			if d > 0 {
+				loc.tout++
+				l.D = d
+				out = append(out, l)
+			}
 		}
-		it.loc.observeRng(rng)
-		if d > 0 {
-			it.loc.tout++
-			l.D = d
-			it.out = append(it.out, l)
-		}
-	}
-	it.loc.flush(j.Counters, j.Stats)
-	return it.out, true
-}
-
-func (it *antiMinBatchIterator) finish() ([]frel.Tuple, bool) {
-	it.loc.flush(it.j.Counters, it.j.Stats)
-	if len(it.out) > 0 {
-		return it.out, true
-	}
-	return nil, false
-}
-
-func (it *antiMinBatchIterator) Err() error { return it.err }
-
-func (it *antiMinBatchIterator) Close() {
-	it.win.close()
-	it.outer.Close()
+		return out
+	})
 }
 
 // NLAntiMin is the nested-loop fallback of the group-minimum anti-join

@@ -45,12 +45,12 @@ func TestMergeAntiMinMatchesBruteForce(t *testing.T) {
 		penalty := func(l, m frel.Tuple) float64 {
 			return 1 - fuzzy.Min(m.D, fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num))
 		}
-		op, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", penalty, nil)
+		op, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", penalty, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := drain(t, op)
-		if !got.Equal(want, 1e-12) {
+		if !got.Equal(want, 0) {
 			t.Fatalf("trial %d: anti-min mismatch: got %d tuples, want %d", trial, got.Len(), want.Len())
 		}
 	}
@@ -96,7 +96,7 @@ func TestMergeAntiMinEmptyInner(t *testing.T) {
 	r := randomRel("R", 10, 40, 2, rng)
 	s := frel.NewRelation(xSchema("S"))
 	penalty := func(l, m frel.Tuple) float64 { return 0 }
-	op, err := NewMergeAntiMin(sortedSource(t, r, "X"), NewMemSource(s), "R.X", "S.X", penalty, nil)
+	op, err := NewMergeAntiMin(sortedSource(t, r, "X"), NewMemSource(s), "R.X", "S.X", penalty, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestMergeAntiMinDropsZeroDegree(t *testing.T) {
 	penalty := func(l, m frel.Tuple) float64 {
 		return 1 - fuzzy.Min(m.D, fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num))
 	}
-	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", penalty, nil)
+	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", penalty, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestMergeAntiMinRejectsUnsorted(t *testing.T) {
 	r.Append(frel.NewTuple(1, frel.Crisp(2), frel.Crisp(5)))
 	s := frel.NewRelation(xSchema("S"))
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(7)))
-	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", func(l, m frel.Tuple) float64 { return 1 }, nil)
+	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", func(l, m frel.Tuple) float64 { return 1 }, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +197,12 @@ func TestMergeAntiMinQuantifiedAllStyle(t *testing.T) {
 	}
 
 	// Range on the equality attribute ID.
-	op, err := NewMergeAntiMin(sortedSource(t, r, "ID"), sortedSource(t, s, "ID"), "R.ID", "S.ID", penalty, nil)
+	op, err := NewMergeAntiMin(sortedSource(t, r, "ID"), sortedSource(t, s, "ID"), "R.ID", "S.ID", penalty, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := drain(t, op)
-	if !got.Equal(want, 1e-12) {
+	if !got.Equal(want, 0) {
 		t.Fatalf("JALL-style anti-min mismatch: got %d, want %d", got.Len(), want.Len())
 	}
 	_ = math.Abs

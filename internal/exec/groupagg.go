@@ -2,12 +2,13 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
 )
 
-// GroupAggJoin is the pipelined evaluation of the unnested type JA query
+// GroupAggJoin is the sorted evaluation of the unnested type JA query
 // (Query JA′ / Query COUNT′, Section 6): the outer relation, sorted on the
 // correlation attribute U, is merged with the inner relation, sorted on V.
 // For each distinct outer value u the operator builds the fuzzy value set
@@ -23,9 +24,11 @@ import (
 // aggregate is COUNT (the left outer join IF-THEN-ELSE arm of Query
 // COUNT′), and not at all otherwise (A′(u) is NULL).
 //
-// When Op2 is equality the inner is consumed in one merged pass using the
-// Rng(u) cursor; identical outer values must be adjacent, so sort the
-// outer input with extsort.ByAttrTotal. For other correlation operators
+// When Op2 is equality the operator runs on the merge sweep: each morsel
+// builds T′(u) from the Rng(u) window once per run of identical outer
+// values, which must be adjacent, so sort the outer input with
+// extsort.ByAttrTotal (identical supports never straddle an atomic cut,
+// so no run is split between morsels). For other correlation operators
 // the inner is materialized once and scanned per distinct u.
 type GroupAggJoin struct {
 	Outer, Inner Source
@@ -48,10 +51,12 @@ type GroupAggJoin struct {
 	Stats *OpStats
 
 	ui, vi, zi, yi int
+	workers        int
 }
 
-// NewGroupAggJoin validates attribute references and kinds.
-func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, innerZ string, agg fuzzy.AggFunc, outerY string, op1 fuzzy.Op, counters *Counters) (*GroupAggJoin, error) {
+// NewGroupAggJoin validates attribute references and kinds; workers is
+// the merge sweep's worker count (0 = GOMAXPROCS).
+func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, innerZ string, agg fuzzy.AggFunc, outerY string, op1 fuzzy.Op, counters *Counters, workers int) (*GroupAggJoin, error) {
 	ui, vi, err := checkJoinAttrs(outer, inner, outerU, innerV)
 	if err != nil {
 		return nil, err
@@ -73,13 +78,16 @@ func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, i
 	if counters == nil {
 		counters = &Counters{}
 	}
+	if workers <= 0 {
+		workers = DefaultParallelism()
+	}
 	return &GroupAggJoin{
 		Outer: outer, Inner: inner,
 		OuterUAttr: outerU, InnerVAttr: innerV, Op2: op2,
 		InnerZAttr: innerZ, Agg: agg,
 		OuterYAttr: outerY, Op1: op1,
-		Counters: counters,
-		ui:       ui, vi: vi, zi: zi, yi: yi,
+		Counters: counters, workers: workers,
+		ui: ui, vi: vi, zi: zi, yi: yi,
 	}, nil
 }
 
@@ -89,182 +97,92 @@ func (j *GroupAggJoin) Schema() *frel.Schema { return j.Outer.Schema() }
 
 // Open implements Source.
 func (j *GroupAggJoin) Open() (BatchIterator, error) {
-	outerIt, err := j.Outer.Open()
+	if j.Op2 == fuzzy.OpEq {
+		return runSweep(j.Outer, j.Inner, j.ui, j.vi, fuzzy.Trapezoid{}, j.workers, j.Counters, j.Stats, func(m *sweepMorsel) []frel.Tuple {
+			return j.emit(m.outer[m.oLo:m.oHi], m.oKeys[m.oLo:m.oHi], &m.loc, func(lo, hi float64, acc func(frel.Tuple)) {
+				start, end := m.window(lo, hi)
+				for k := start; k < end; k++ {
+					m.loc.cmp++
+					if m.hits(k, lo, hi) {
+						acc(m.inner[k])
+					}
+				}
+			})
+		})
+	}
+	// Non-equality correlation: materialize the inner once and scan all
+	// of it per group, in a single part.
+	outer, oKeys, err := collectKeyed(j.Outer, j.ui, "outer", 0, math.Inf(1))
 	if err != nil {
 		return nil, err
 	}
-	it := &groupAggBatchIterator{j: j, outer: outerIt, loc: newBatchLocals()}
-	if j.Op2 == fuzzy.OpEq {
-		innerIt, err := j.Inner.Open()
-		if err != nil {
-			outerIt.Close()
-			return nil, err
-		}
-		it.win = newBatchWindow(innerIt, j.vi)
-	} else {
-		// Non-equality correlation: materialize the inner once.
-		rel, err := Collect(j.Inner)
-		if err != nil {
-			outerIt.Close()
-			return nil, err
-		}
-		it.innerAll = rel.Tuples
+	inner, err := Collect(j.Inner)
+	if err != nil {
+		return nil, err
 	}
-	return it, nil
-}
-
-type groupAggBatchIterator struct {
-	j     *GroupAggJoin
-	outer BatchIterator
-
-	win      *batchWindow
-	innerAll []frel.Tuple
-
-	obatch []frel.Tuple
-	opos   int
-
-	haveGroup bool
-	groupVal  frel.Value
-	aggVal    fuzzy.Trapezoid
-	aggOK     bool
-
-	prevBegin float64
-	seenAny   bool
-
-	out []frel.Tuple
-	loc batchLocals
-
-	err  error
-	done bool
-}
-
-// computeGroup builds T′(u) and its aggregate for the given outer value.
-func (it *groupAggBatchIterator) computeGroup(u frel.Value) {
-	j := it.j
-	set := newMemberSet()
-	var rng int64
-	acc := func(s frel.Tuple) {
-		rng++
-		it.loc.stCmp++
-		it.loc.stDeg++
-		it.loc.deg++
-		sv := s.Values[j.vi]
-		d := frel.Degree(j.Op2, sv, u)
-		if s.D < d {
-			d = s.D
-		}
-		if d <= 0 {
-			return
-		}
-		set.add(s.Values[j.zi], d)
-	}
-	if it.win != nil {
-		uLo, uHi := u.Num.Support()
-		it.win.advance(uLo)
-		it.win.extend(uHi)
-		if it.win.err != nil {
-			it.err = it.win.err
-			return
-		}
-		active := it.win.active()
-		for i := range active {
-			e := &active[i]
-			it.loc.cmp++
-			if !(uLo <= e.hi && e.lo <= uHi) {
-				continue // dangling tuple in the range
-			}
-			acc(e.t)
-		}
-	} else {
-		for _, s := range it.innerAll {
-			it.loc.cmp++
+	loc := newBatchLocals()
+	out := j.emit(outer, oKeys, &loc, func(_, _ float64, acc func(frel.Tuple)) {
+		for _, s := range inner.Tuples {
+			loc.cmp++
 			acc(s)
 		}
-	}
-	it.loc.observeRng(rng)
-	if j.Agg == fuzzy.AggCount {
-		// COUNT of an empty T′(u) is 0: comparing r.Y against Crisp(0) is
-		// exactly the ELSE arm of Query COUNT′'s IF-THEN-ELSE.
-		it.aggVal, it.aggOK = fuzzy.Crisp(float64(set.len())), true
-		return
-	}
-	it.aggVal, it.aggOK = fuzzy.Aggregate(j.Agg, set.members)
+	})
+	loc.flush(j.Counters, j.Stats)
+	return &partsBatchIterator{parts: [][]frel.Tuple{out}}, nil
 }
 
-func (it *groupAggBatchIterator) NextBatch() ([]frel.Tuple, bool) {
-	if it.err != nil || it.done {
-		return nil, false
-	}
-	j := it.j
-	if it.out == nil {
-		it.out = make([]frel.Tuple, 0, BatchSize)
-	}
-	it.out = it.out[:0]
-	for len(it.out) < BatchSize {
-		for it.opos >= len(it.obatch) {
-			b, ok := it.outer.NextBatch()
-			if !ok {
-				if e := it.outer.Err(); e != nil {
-					it.err = e
-				}
-				it.done = true
-				return it.finish()
-			}
-			it.obatch, it.opos = b, 0
-		}
-		r := it.obatch[it.opos]
-		it.opos++
+// emit evaluates the outer tuples of one part. For each run of identical
+// outer values u it builds T′(u) from the inner tuples scan(u's support)
+// passes to acc, and applies the aggregate; every outer tuple of the run
+// is then compared against A′(u).
+func (j *GroupAggJoin) emit(outer []frel.Tuple, keys []frel.SupportKey, loc *batchLocals, scan func(lo, hi float64, acc func(frel.Tuple))) []frel.Tuple {
+	var out []frel.Tuple
+	var aggVal fuzzy.Trapezoid
+	aggOK := false
+	for o, r := range outer {
 		u := r.Values[j.ui]
-		if it.win != nil {
-			lo, _ := u.Num.Support()
-			if it.seenAny && lo < it.prevBegin {
-				it.err = fmt.Errorf("exec: group-aggregate join outer input is not sorted by the Definition 3.1 order")
-				return it.finish()
+		if o == 0 || !outer[o-1].Values[j.ui].Identical(u) {
+			set := newMemberSet()
+			var rng int64
+			scan(keys[o].Lo, keys[o].Hi, func(s frel.Tuple) {
+				rng++
+				loc.stCmp++
+				loc.stDeg++
+				loc.deg++
+				d := frel.Degree(j.Op2, s.Values[j.vi], u)
+				if s.D < d {
+					d = s.D
+				}
+				if d > 0 {
+					set.add(s.Values[j.zi], d)
+				}
+			})
+			loc.observeRng(rng)
+			if j.Agg == fuzzy.AggCount {
+				// COUNT of an empty T′(u) is 0: comparing r.Y against
+				// Crisp(0) is exactly the ELSE arm of Query COUNT′'s
+				// IF-THEN-ELSE.
+				aggVal, aggOK = fuzzy.Crisp(float64(set.len())), true
+			} else {
+				aggVal, aggOK = fuzzy.Aggregate(j.Agg, set.members)
 			}
-			it.prevBegin, it.seenAny = lo, true
 		}
-		if !it.haveGroup || !it.groupVal.Identical(u) {
-			it.computeGroup(u)
-			if it.err != nil {
-				return it.finish()
-			}
-			it.groupVal = u
-			it.haveGroup = true
-		}
-		if !it.aggOK {
+		if !aggOK {
 			continue // A′(u) is NULL and the aggregate is not COUNT
 		}
-		it.loc.stDeg++
-		it.loc.deg++
-		d := fuzzy.Degree(j.Op1, r.Values[j.yi].Num, it.aggVal)
+		loc.stDeg++
+		loc.deg++
+		d := fuzzy.Degree(j.Op1, r.Values[j.yi].Num, aggVal)
 		if r.D < d {
 			d = r.D
 		}
 		if d > 0 {
-			it.loc.tout++
+			loc.tout++
 			r.D = d
-			it.out = append(it.out, r)
+			out = append(out, r)
 		}
 	}
-	it.loc.flush(j.Counters, j.Stats)
-	return it.out, true
-}
-
-func (it *groupAggBatchIterator) finish() ([]frel.Tuple, bool) {
-	it.loc.flush(it.j.Counters, it.j.Stats)
-	if len(it.out) > 0 {
-		return it.out, true
-	}
-	return nil, false
-}
-
-func (it *groupAggBatchIterator) Err() error { return it.err }
-
-func (it *groupAggBatchIterator) Close() {
-	if it.win != nil {
-		it.win.close()
-	}
-	it.outer.Close()
+	return out
 }
 
 // memberSet accumulates a fuzzy value set deduplicated by value identity,

@@ -114,12 +114,12 @@ func TestGroupAggJoinMatchesBruteForceAllAggs(t *testing.T) {
 				want := bruteJA(r, s, agg, op1, fuzzy.OpEq)
 				j, err := NewGroupAggJoin(
 					totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
-					"R.U", "S.V", fuzzy.OpEq, "S.Z", agg, "R.Y", op1, nil)
+					"R.U", "S.V", fuzzy.OpEq, "S.Z", agg, "R.Y", op1, nil, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got := drain(t, j)
-				if !got.Equal(want, 1e-12) {
+				if !got.Equal(want, 0) {
 					t.Fatalf("trial %d agg %v op %v: mismatch got %d want %d", trial, agg, op1, got.Len(), want.Len())
 				}
 			}
@@ -137,7 +137,7 @@ func TestGroupAggJoinCountEmptyGroup(t *testing.T) {
 
 	// R.Y = COUNT(...): 0 = 0 holds with degree 1.
 	j, err := NewGroupAggJoin(totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
-		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpEq, nil)
+		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpEq, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestGroupAggJoinCountEmptyGroup(t *testing.T) {
 
 	// Non-COUNT aggregate: NULL, the tuple is dropped.
 	j2, err := NewGroupAggJoin(totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
-		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggMax, "R.Y", fuzzy.OpEq, nil)
+		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggMax, "R.Y", fuzzy.OpEq, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestGroupAggJoinCountDistinctValues(t *testing.T) {
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(9)))
 
 	j, err := NewGroupAggJoin(totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
-		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpEq, nil)
+		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpEq, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +184,12 @@ func TestGroupAggJoinNonEqualityCorrelation(t *testing.T) {
 	r, s := randomCorrelated(rng, 15, 25)
 	want := bruteJA(r, s, fuzzy.AggMax, fuzzy.OpGt, fuzzy.OpLe)
 	j, err := NewGroupAggJoin(totalSortedSource(t, r, "U"), NewMemSource(s),
-		"R.U", "S.V", fuzzy.OpLe, "S.Z", fuzzy.AggMax, "R.Y", fuzzy.OpGt, nil)
+		"R.U", "S.V", fuzzy.OpLe, "S.Z", fuzzy.AggMax, "R.Y", fuzzy.OpGt, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := drain(t, j)
-	if !got.Equal(want, 1e-12) {
+	if !got.Equal(want, 0) {
 		t.Fatalf("non-equality correlation mismatch: got %d, want %d", got.Len(), want.Len())
 	}
 }
@@ -202,11 +202,11 @@ func TestGroupAggJoinValidation(t *testing.T) {
 	))
 	// SUM over a string attribute is rejected; COUNT is fine.
 	if _, err := NewGroupAggJoin(NewMemSource(r), NewMemSource(strS),
-		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggSum, "R.Y", fuzzy.OpGt, nil); err == nil {
+		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggSum, "R.Y", fuzzy.OpGt, nil, 1); err == nil {
 		t.Errorf("SUM over strings: want error")
 	}
 	if _, err := NewGroupAggJoin(NewMemSource(r), NewMemSource(strS),
-		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpGt, nil); err != nil {
+		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpGt, nil, 1); err != nil {
 		t.Errorf("COUNT over strings: %v", err)
 	}
 }

@@ -121,7 +121,7 @@ func TestBlockNLJoinMatchesBruteForce(t *testing.T) {
 	// Small block size to force several inner rescans.
 	j := NewBlockNLJoin(NewMemSource(r), NewMemSource(s), on, 512, nil)
 	got := drain(t, j)
-	if !got.Equal(want, 1e-12) {
+	if !got.Equal(want, 0) {
 		t.Fatalf("nested-loop mismatch: got %d, want %d", got.Len(), want.Len())
 	}
 

@@ -153,7 +153,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	it2.Close()
 
 	am, err := NewMergeAntiMin(NewHeapSource(r), NewHeapSource(s), "X", "X",
-		func(l, m frel.Tuple) float64 { return 1 }, nil)
+		func(l, m frel.Tuple) float64 { return 1 }, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -631,9 +631,9 @@ func (p *Plan) estimateAnti(a *AntiJoin) {
 	a.est = Est{Rows: l, Cost: cost}
 }
 
-// estimateGroupAgg sizes the pipelined group-aggregate join: the outer is
+// estimateGroupAgg sizes the sorted group-aggregate join: the outer is
 // sorted by the grouping attribute, the inner additionally when the
-// correlation is an equality (enabling the merge-style pipeline).
+// correlation is an equality (enabling the merge sweep).
 func (p *Plan) estimateGroupAgg(g *GroupAgg) {
 	l := p.leafEst(g.Outer)
 	r := p.leafEst(g.Inner)

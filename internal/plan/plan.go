@@ -67,7 +67,7 @@ const (
 	// group-minimum merge anti-join of Query JX′ (Theorem 5.1).
 	StrategyAntiJoin
 	// StrategyGroupAgg: a type JA query (scalar aggregate subquery),
-	// evaluated with the pipelined group-aggregate join of Query JA′ /
+	// evaluated with the sorted group-aggregate join of Query JA′ /
 	// COUNT′ (Theorem 6.1).
 	StrategyGroupAgg
 	// StrategyAllAnti: a type JALL query (op ALL), evaluated with the
@@ -331,7 +331,7 @@ func (a *AntiJoin) Kind() string     { return "anti-join" }
 func (a *AntiJoin) Children() []Node { return []Node{a.Outer, a.Inner} }
 func (a *AntiJoin) Est() *Est        { return &a.est }
 
-// GroupAgg is the pipelined group-aggregate join of Queries JA′ and
+// GroupAgg is the sorted group-aggregate join of Queries JA′ and
 // COUNT′ (Theorem 6.1): outer tuples grouped by URef joined against the
 // inner aggregated per group.
 type GroupAgg struct {

@@ -447,7 +447,7 @@ func checkScalarSubquery(sub *fsql.Select) error {
 }
 
 // rewriteScalarAgg handles type JA queries (scalar aggregate subqueries,
-// Section 6), rewriting to the pipelined group-aggregate join of Queries
+// Section 6), rewriting to the sorted group-aggregate join of Queries
 // JA′ and COUNT′, or folding an uncorrelated subquery into a constant.
 func (p *Plan) rewriteScalarAgg(join *Join, sub fsql.Predicate) error {
 	q := p.Query
