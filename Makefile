@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-compare bench-check crash fmt vet golden serve server-smoke
+.PHONY: all build test race bench bench-compare bench-check crash fmt vet golden serve server-smoke perfbench-smoke
 
 all: build test
 
@@ -59,3 +59,17 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# CI's perfbench-smoke check: both benchmark workloads for 2 s each, every
+# answer checked against the naive evaluation. perfbench exits 0 even
+# when an answer is wrong, so the result line (the last line of the
+# output) must report "correct":true and "failed":0.
+perfbench-smoke:
+	@mkdir -p .bench_build
+	@for w in paper-cold indexed-ingest; do \
+		bash perfbench/run.sh --workload $$w --seconds 2 --trace 0 > .bench_build/smoke.out || exit 1; \
+		result=$$(tail -n 1 .bench_build/smoke.out); \
+		echo "$$result"; \
+		echo "$$result" | grep -qF '"correct":true' || { echo "perfbench $$w: an answer differs from its reference" >&2; exit 1; }; \
+		echo "$$result" | grep -qF '"failed":0,' || { echo "perfbench $$w: operations failed" >&2; exit 1; }; \
+	done

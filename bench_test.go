@@ -159,10 +159,10 @@ func ablationRelations(b *testing.B, n int, width float64) (outer, inner *frel.R
 }
 
 // mergeJoin builds the serial extended merge-join of the two sorted
-// relations on B.
-func mergeJoin(b *testing.B, r, s *frel.Relation, c *exec.Counters) exec.Source {
+// relations on B, counting into st.
+func mergeJoin(b *testing.B, r, s *frel.Relation, st *exec.OpStats) exec.Source {
 	b.Helper()
-	mj, err := exec.NewKernelMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", fuzzy.Crisp(0), nil, c, 1)
+	mj, err := exec.NewKernelMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", fuzzy.Crisp(0), nil, st, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func BenchmarkAblationRangeCursor(b *testing.B) {
 	r, s := ablationRelations(b, 2000, 5)
 	b.Run("with-cursor", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			drainJoin(b, mergeJoin(b, r, s, nil))
+			drainJoin(b, mergeJoin(b, r, s, exec.NewOpStats("merge-join", "")))
 		}
 	})
 	b.Run("no-cursor-sorted-nl", func(b *testing.B) {
@@ -195,7 +195,7 @@ func BenchmarkAblationRangeCursor(b *testing.B) {
 			return fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num)
 		}
 		for i := 0; i < b.N; i++ {
-			nl := exec.NewBlockNLJoin(exec.NewMemSource(r), exec.NewMemSource(s), on, 1<<20, nil)
+			nl := exec.NewBlockNLJoin(exec.NewMemSource(r), exec.NewMemSource(s), on, 1<<20, exec.NewOpStats("nl-join", ""))
 			drainJoin(b, nl)
 		}
 	})
@@ -227,10 +227,10 @@ func BenchmarkAblationIntervalWidth(b *testing.B) {
 				}
 				s.Tuples, _ = extsort.SortTuples(s.Tuples, order)
 			}
-			var c exec.Counters
+			c := exec.NewOpStats("merge-join", "")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				drainJoin(b, mergeJoin(b, r, s, &c))
+				drainJoin(b, mergeJoin(b, r, s, c))
 			}
 			b.ReportMetric(float64(c.Comparisons.Load())/float64(b.N), "pairExams/op")
 		})

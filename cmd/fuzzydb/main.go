@@ -198,8 +198,8 @@ func (a *app) meta(cmd string) bool {
 	case cmd == "\\stats":
 		stats := a.sess.Catalog().Manager().Stats()
 		fmt.Fprintf(a.out, "physical I/O: %s\n", stats)
-		fmt.Fprintf(a.out, "work: degree evals=%d comparisons=%d tuples out=%d\n",
-			a.sess.Env.Counters.DegreeEvals.Load(), a.sess.Env.Counters.Comparisons.Load(), a.sess.Env.Counters.TuplesOut.Load())
+		fmt.Fprintf(a.out, "work: degree evals=%d comparisons=%d\n",
+			a.sess.Env.Counters.DegreeEvals.Load(), a.sess.Env.Counters.Comparisons.Load())
 	case cmd == "\\terms":
 		for _, name := range a.sess.Catalog().Terms() {
 			t, _ := a.sess.Catalog().Term(name)

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"context"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // TestAnalyzePairRngBound reproduces the paper's central efficiency claim
@@ -35,10 +38,35 @@ func TestAnalyzePairRngBound(t *testing.T) {
 	if mj.RngAvg <= 0 || mj.RngAvg >= float64(nInner) {
 		t.Errorf("RngAvg = %g, want 0 < RngAvg < inner cardinality %d", mj.RngAvg, nInner)
 	}
-	// For the extended merge-join, comparisons are exactly the summed
-	// Rng(r) window lengths.
-	if sum := int64(mj.RngAvg*float64(mj.RngCount) + 0.5); mj.Comparisons != sum {
-		t.Errorf("Comparisons = %d, want sum of Rng lengths %d", mj.Comparisons, sum)
+	// Work is counted once: the merge-join's comparisons (every window
+	// tuple it examines) are exactly the query's, as Env.Counters sums
+	// them, minus its sorts'.
+	env, _, q, cleanup, err := cfg.withDefaults().setupWorkload(nOuter, nInner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	before := env.Counters.Comparisons.Load()
+	_, es, err := env.EvalUnnestedAnalyze(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := env.Counters.Comparisons.Load() - before
+	plan := es.Plan()
+	var sorts int64
+	var walk func(s *exec.StatsSnapshot)
+	walk = func(s *exec.StatsSnapshot) {
+		if s.Op == "sort" {
+			sorts += s.Comparisons
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(plan)
+	if mj := plan.Find("merge-join"); mj.Comparisons != delta-sorts {
+		t.Errorf("merge-join Comparisons = %d, want the query's %d minus its sorts' %d = %d\n%s",
+			mj.Comparisons, delta, sorts, delta-sorts, plan.Render())
 	}
 
 	naive := rep.Methods[NestedLoop.String()]

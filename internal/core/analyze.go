@@ -12,11 +12,13 @@ import (
 )
 
 // ExecStats is the result of an EXPLAIN ANALYZE evaluation: the chosen
-// strategy plus a per-operator tree of runtime measures. The per-operator
-// counters are deterministic for serial execution and aggregate exactly
-// across parallel morsels — the same query reports identical row and
-// comparison totals at any Parallelism setting — so they double as
-// correctness oracles for the parallel operators.
+// strategy plus the statement's per-operator tree of runtime measures.
+// Every statement builds that tree (the operators count their work into
+// it); an analyzed one also returns it. The work counters are
+// deterministic and aggregate exactly across parallel morsels — the same
+// query reports identical row, comparison and degree-evaluation totals at
+// any Parallelism setting — so they double as correctness oracles for the
+// parallel operators.
 type ExecStats struct {
 	Strategy Strategy
 	Note     string
@@ -28,16 +30,11 @@ type ExecStats struct {
 	// PoolMisses counts buffer-pool misses (each one is a physical page
 	// read).
 	PoolMisses int64
-	Root       *exec.OpStats // root of the operator tree (never nil on success)
+	Root       *exec.OpStats // root of the operator tree
 }
 
 // Plan snapshots the operator tree into plain serializable values.
-func (s *ExecStats) Plan() *exec.StatsSnapshot {
-	if s.Root == nil {
-		return nil
-	}
-	return s.Root.Snapshot()
-}
+func (s *ExecStats) Plan() *exec.StatsSnapshot { return s.Root.Snapshot() }
 
 // Lines renders the stats as text lines: a strategy header, a summary
 // line, and one indented line per operator.
@@ -51,10 +48,7 @@ func (s *ExecStats) Lines() []string {
 	lines = append(lines,
 		fmt.Sprintf("wall: %s  answer: %d tuples  pruned by WITH: %d  pool: %d hits / %d misses",
 			s.Wall.Round(time.Microsecond), s.Answer, s.Pruned, s.PoolHits, s.PoolMisses))
-	if snap := s.Plan(); snap != nil {
-		lines = append(lines, strings.Split(strings.TrimRight(snap.Render(), "\n"), "\n")...)
-	}
-	return lines
+	return append(lines, strings.Split(strings.TrimRight(s.Plan().Render(), "\n"), "\n")...)
 }
 
 // Render returns the Lines joined with newlines.
@@ -62,89 +56,60 @@ func (s *ExecStats) Render() string {
 	return strings.Join(s.Lines(), "\n") + "\n"
 }
 
-// withAnalyze installs es as the active stats collection and returns the
-// restore function for the caller to defer.
-func (e *Env) withAnalyze(es *ExecStats) func() {
-	prev := e.analyze
-	e.analyze = es
-	return func() { e.analyze = prev }
-}
-
-// newNode creates a stats node when an EXPLAIN ANALYZE collection is
-// active, nil otherwise (operators treat a nil node as "don't measure").
-func (e *Env) newNode(op, label string) *exec.OpStats {
-	if e.analyze == nil {
-		return nil
-	}
-	return exec.NewOpStats(op, label)
-}
-
-// attach wires node into the stats tree: the nodes of already-wrapped
-// inputs become its children, node becomes the current root candidate
-// (the outermost operator wrapped last wins), and src is wrapped so its
-// rows out and wall time are measured. Identity when node is nil.
-func (e *Env) attach(node *exec.OpStats, src exec.Source, inputs ...exec.Source) exec.Source {
-	if node == nil {
-		return src
-	}
+// attach wires node into the statement's tree: the nodes of the inputs
+// become its children, node becomes the statement's root (the outermost
+// operator is attached last), and src is wrapped so its rows out and wall
+// time are measured.
+func (e *Env) attach(node *exec.OpStats, src exec.Source, inputs ...*exec.Stated) *exec.Stated {
 	for _, in := range inputs {
-		if st, ok := in.(*exec.Stated); ok {
-			node.AddChild(st.Node)
-		}
+		node.AddChild(in.Node)
 	}
-	e.analyze.Root = node
+	e.root = node
 	return exec.NewStated(src, node)
 }
 
 // stated creates a node and attaches it in one step.
-func (e *Env) stated(op, label string, src exec.Source, inputs ...exec.Source) exec.Source {
-	return e.attach(e.newNode(op, label), src, inputs...)
+func (e *Env) stated(op, label string, src exec.Source, inputs ...*exec.Stated) *exec.Stated {
+	return e.attach(exec.NewOpStats(op, label), src, inputs...)
 }
 
-// notePruned accounts rows dropped by the answer threshold.
-func (e *Env) notePruned(n int) {
-	if e.analyze != nil && n > 0 {
-		e.analyze.Pruned += int64(n)
-		if e.analyze.Root != nil {
-			e.analyze.Root.Pruned.Add(int64(n))
-		}
+// run evaluates one statement: eval compiles and runs its operator tree,
+// whose operators count their work only into their nodes. When the
+// statement succeeds, the tree's totals are added to e.Counters, once, and
+// its root is returned.
+func (e *Env) run(eval func() (*frel.Relation, error)) (*frel.Relation, *exec.OpStats, error) {
+	e.root = nil
+	rel, err := eval()
+	root := e.root
+	e.root = nil
+	if err != nil {
+		return nil, nil, err
 	}
+	e.Counters.AddTotals(root.Snapshot())
+	return rel, root, nil
 }
 
-// runAnalyzed executes run with stats collection active, filling es.
-func (e *Env) runAnalyzed(es *ExecStats, run func() (*frel.Relation, error)) (*frel.Relation, error) {
-	defer e.withAnalyze(es)()
+// runAnalyzed runs eval as one statement and fills es from its tree.
+func (e *Env) runAnalyzed(es *ExecStats, eval func() (*frel.Relation, error)) (*frel.Relation, error) {
 	reads0, _, hits0, _ := e.cat.Manager().Stats().Snapshot()
-	cmp0 := e.Counters.Comparisons.Load()
-	deg0 := e.Counters.DegreeEvals.Load()
 	start := time.Now()
-	rel, err := run()
+	rel, root, err := e.run(eval)
 	es.Wall = time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	es.Answer = rel.Len()
-	if es.Root == nil {
-		// The naive evaluator has no per-operator pipeline to hook; its
-		// work is reported as one node from the global counter deltas.
-		root := exec.NewOpStats(StrategyNaive.String(), "")
-		root.RowsOut.Store(int64(rel.Len()))
-		root.Comparisons.Store(e.Counters.Comparisons.Load() - cmp0)
-		root.DegreeEvals.Store(e.Counters.DegreeEvals.Load() - deg0)
-		root.Pruned.Store(es.Pruned)
-		root.WallNanos.Store(es.Wall.Nanoseconds())
-		es.Root = root
-	}
+	es.Root, es.Answer, es.Pruned = root, rel.Len(), root.Pruned.Load()
 	reads1, _, hits1, _ := e.cat.Manager().Stats().Snapshot()
 	es.PoolHits, es.PoolMisses = hits1-hits0, reads1-reads0
-	es.Root.PoolHits.Store(es.PoolHits)
-	es.Root.PoolMisses.Store(es.PoolMisses)
+	root.PoolHits.Store(es.PoolHits)
+	root.PoolMisses.Store(es.PoolMisses)
 	return rel, nil
 }
 
-// EvalUnnestedAnalyze is EvalUnnestedContext with per-operator statistics
-// collection: it evaluates the query via the unnesting rewrites and
-// returns the answer together with the populated stats tree.
+// EvalUnnestedAnalyze is EvalUnnestedContext returning the statement's
+// statistics: it evaluates the query via the unnesting rewrites — the
+// same plan EvalUnnested runs — and returns the answer together with the
+// populated stats tree.
 func (e *Env) EvalUnnestedAnalyze(ctx context.Context, q *fsql.Select) (*frel.Relation, *ExecStats, error) {
 	defer e.withContext(ctx)()
 	if err := ctx.Err(); err != nil {
@@ -162,15 +127,15 @@ func (e *Env) EvalUnnestedAnalyze(ctx context.Context, q *fsql.Select) (*frel.Re
 	return rel, es, nil
 }
 
-// EvalNaiveAnalyze is EvalNaiveContext with statistics collection; the
-// naive evaluator reports its work as a single root node.
+// EvalNaiveAnalyze is EvalNaiveContext returning the statement's
+// statistics; the naive evaluator reports its work as a single root node.
 func (e *Env) EvalNaiveAnalyze(ctx context.Context, q *fsql.Select) (*frel.Relation, *ExecStats, error) {
 	defer e.withContext(ctx)()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	es := &ExecStats{Strategy: StrategyNaive, Note: "nested-loop evaluation of the nested form"}
-	rel, err := e.runAnalyzed(es, func() (*frel.Relation, error) { return e.EvalNaive(q) })
+	rel, err := e.runAnalyzed(es, func() (*frel.Relation, error) { return e.execNaive(q) })
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/storage"
@@ -90,8 +91,8 @@ func TestExplainAnalyzeCollectsStats(t *testing.T) {
 }
 
 // TestAnalyzeNaiveRootSynthesis checks that the naive evaluator (which
-// has no operator pipeline) still reports a stats root built from the
-// global counter deltas.
+// has no operator pipeline) reports a single root node its blocks count
+// into.
 func TestAnalyzeNaiveRootSynthesis(t *testing.T) {
 	env := analyzeEnv(t, 100, 1)
 	q, err := fsql.ParseQuery(analyzeQuery)
@@ -106,14 +107,14 @@ func TestAnalyzeNaiveRootSynthesis(t *testing.T) {
 		t.Fatalf("strategy = %v, want %v", es.Strategy, StrategyNaive)
 	}
 	if es.Root == nil {
-		t.Fatal("no synthesized root")
+		t.Fatal("no naive root")
 	}
 	snap := es.Plan()
 	if snap.RowsOut != int64(rel.Len()) {
 		t.Fatalf("RowsOut = %d, want %d", snap.RowsOut, rel.Len())
 	}
 	if snap.DegreeEvals == 0 {
-		t.Fatal("synthesized root has no degree evaluations")
+		t.Fatal("naive root has no degree evaluations")
 	}
 }
 
@@ -199,6 +200,110 @@ func TestAnalyzeParallelInvariance(t *testing.T) {
 			math.Abs(r.rngSum-base.rngSum) > 1e-6 {
 			t.Errorf("%s: Rng distribution differs from %s: n %d/%d min %d/%d max %d/%d sum %.1f/%.1f",
 				r.label, base.label, r.rngN, base.rngN, r.rngMin, base.rngMin, r.rngMax, base.rngMax, r.rngSum, base.rngSum)
+		}
+	}
+}
+
+// countOnceQueries covers every nesting class and plan shape, with the
+// strategy the planner picks for it on analyzeEnv's relations.
+var countOnceQueries = []struct {
+	name, sql string
+	strategy  Strategy
+}{
+	{"N", `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`, StrategyChain},
+	{"J", analyzeQuery, StrategyChain},
+	{"JX", `SELECT R.K FROM R WHERE R.B NOT IN (SELECT S.B FROM S WHERE S.A = R.A)`, StrategyAntiJoin},
+	{"JA", `SELECT R.K FROM R WHERE R.B >= (SELECT AVG(S.B) FROM S WHERE S.A = R.A)`, StrategyGroupAgg},
+	{"JA-COUNT", `SELECT R.K FROM R WHERE R.K >= (SELECT COUNT(S.B) FROM S WHERE S.A = R.A)`, StrategyGroupAgg},
+	{"JALL", `SELECT R.K FROM R WHERE R.B > ALL (SELECT S.B FROM S WHERE S.A = R.A)`, StrategyAllAnti},
+	{"chain", `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S WHERE S.A = R.A AND S.B IN (SELECT T.B FROM R T WHERE T.A = S.A))`, StrategyChain},
+	{"EXISTS", `SELECT R.K FROM R WHERE EXISTS (SELECT S.B FROM S WHERE S.A = R.A AND S.B > 20)`, StrategyChain},
+	{"NOT EXISTS", `SELECT R.K FROM R WHERE NOT EXISTS (SELECT S.B FROM S WHERE S.A = R.A AND S.B > 20)`, StrategyAntiJoin},
+	{"uncorrelated", `SELECT R.K FROM R WHERE R.B >= (SELECT AVG(S.B) FROM S WHERE S.A > 3)`, StrategyUncorrelated},
+	{"naive", `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S WHERE S.A = R.A) AND R.A NOT IN (SELECT S.A FROM S WHERE S.B > 40)`, StrategyNaive},
+	{"group", `SELECT R.A, COUNT(S.B) FROM R, S WHERE R.A = S.A AND R.B > 10 GROUPBY R.A HAVING R.A > 3`, StrategyFlat},
+	{"nl-join", `SELECT R.K FROM R, S WHERE R.B > S.B AND R.A < S.A AND S.K < 60`, StrategyFlat},
+}
+
+// workCounts is one reading (or difference of readings) of every
+// Env.Counters field.
+type workCounts struct {
+	deg, cmp, cacheHits, cacheMisses, indexHits, kernelTuples, morsels int64
+}
+
+func readWork(e *Env) workCounts {
+	c := &e.Counters
+	return workCounts{c.DegreeEvals.Load(), c.Comparisons.Load(), c.SortCacheHits.Load(),
+		c.SortCacheMisses.Load(), c.IndexHits.Load(), c.KernelTuples.Load(), c.Morsels.Load()}
+}
+
+func (w workCounts) minus(v workCounts) workCounts {
+	return workCounts{w.deg - v.deg, w.cmp - v.cmp, w.cacheHits - v.cacheHits, w.cacheMisses - v.cacheMisses,
+		w.indexHits - v.indexHits, w.kernelTuples - v.kernelTuples, w.morsels - v.morsels}
+}
+
+// treeWork sums the work counters of a statistics tree.
+func treeWork(s *exec.StatsSnapshot) workCounts {
+	w := workCounts{s.DegreeEvals, s.Comparisons, s.CacheHits, s.CacheMisses, s.IndexHits, s.KernelTuples, s.Morsels}
+	for _, c := range s.Children {
+		cw := treeWork(c)
+		w = workCounts{w.deg + cw.deg, w.cmp + cw.cmp, w.cacheHits + cw.cacheHits, w.cacheMisses + cw.cacheMisses,
+			w.indexHits + cw.indexHits, w.kernelTuples + cw.kernelTuples, w.morsels + cw.morsels}
+	}
+	return w
+}
+
+// TestAnalyzeCountsOnce: operators count their work once, into their plan
+// nodes, and Env.Counters is the sum of the statements' trees. For every
+// query shape, cold (empty sort-order cache) and warm, at 1 and 4
+// workers, an analyzed run returns the plain run's answer at tolerance 0,
+// moves Env.Counters by exactly what the plain run moves them by, and its
+// root's totals equal that move.
+func TestAnalyzeCountsOnce(t *testing.T) {
+	for _, tc := range countOnceQueries {
+		q, err := fsql.ParseQuery(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, workers := range []int{1, 4} {
+			plain, analyzed := analyzeEnv(t, 600, workers), analyzeEnv(t, 600, workers)
+			for _, run := range []string{"cold", "warm"} {
+				label := fmt.Sprintf("%s/workers=%d/%s", tc.name, workers, run)
+				before := readWork(plain)
+				want, err := plain.EvalUnnested(q)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				plainWork := readWork(plain).minus(before)
+
+				before = readWork(analyzed)
+				got, es, err := analyzed.EvalUnnestedAnalyze(context.Background(), q)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				work := readWork(analyzed).minus(before)
+
+				if es.Strategy != tc.strategy {
+					t.Fatalf("%s: strategy %v, want %v", label, es.Strategy, tc.strategy)
+				}
+				if want.Len() == 0 {
+					t.Fatalf("%s: empty answer proves nothing", label)
+				}
+				if !got.Equal(want, 0) {
+					t.Errorf("%s: analyzed answer (%d tuples) differs from the plain one (%d)", label, got.Len(), want.Len())
+				}
+				if work != plainWork {
+					t.Errorf("%s: analyzed run moved the counters by %+v, the plain run by %+v", label, work, plainWork)
+				}
+				snap := es.Plan()
+				if _, cmp, deg := snap.Totals(); cmp != work.cmp || deg != work.deg {
+					t.Errorf("%s: root totals cmp=%d deg=%d, counters moved by cmp=%d deg=%d\n%s",
+						label, cmp, deg, work.cmp, work.deg, snap.Render())
+				}
+				if tw := treeWork(snap); tw != work {
+					t.Errorf("%s: tree counts %+v, counters moved by %+v", label, tw, work)
+				}
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fuzzy"
 	"repro/internal/kernel"
 	"repro/internal/plan"
+	"repro/internal/storage"
 )
 
 // This file is the physical compilation stage of the planner: it turns a
@@ -16,14 +17,14 @@ import (
 // it. The plan records every decision — join order, merge vs nested-loop
 // steps, predicate assignments — so compilation replays them without
 // re-deciding; only physical concerns (sources, linguistic terms, the
-// sort-order cache, parallelism, EXPLAIN ANALYZE instrumentation) live
+// sort-order cache, parallelism, the operators' statistics nodes) live
 // here.
 
 // execPlan compiles and runs a planned query.
 func (e *Env) execPlan(p *plan.Plan) (*frel.Relation, error) {
 	defer e.dropStatementRuns()
 	if p.Strategy == StrategyNaive {
-		return e.EvalNaive(p.Query)
+		return e.execNaive(p.Query)
 	}
 	switch body := p.Proj().Input.(type) {
 	case *plan.Join:
@@ -35,53 +36,61 @@ func (e *Env) execPlan(p *plan.Plan) (*frel.Relation, error) {
 	case *plan.UncorrSub:
 		return e.execUncorrPlan(p, body)
 	default:
-		return e.EvalNaive(p.Query)
+		return e.execNaive(p.Query)
 	}
 }
 
 // compileLeaf compiles a plan leaf (Scan or Filter-over-Scan) into a
-// stated source.
-func (e *Env) compileLeaf(nd plan.Node) (exec.Source, error) {
+// stated source. base is the heap file a plain scan reads, the key of its
+// sort-order cache entries; it is nil for a filtered leaf, whose sorted
+// order is not the base relation's.
+func (e *Env) compileLeaf(nd plan.Node) (src *exec.Stated, base *storage.HeapFile, err error) {
 	switch n := nd.(type) {
 	case *plan.Scan:
-		s, err := e.source(n.Table)
+		s, h, err := e.source(n.Table)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return e.stated("scan", n.Table.Binding(), s), nil
+		return e.stated("scan", n.Table.Binding(), s), h, nil
 	case *plan.Filter:
 		sc, ok := n.Input.(*plan.Scan)
 		if !ok {
-			return nil, fmt.Errorf("core: cannot compile plan filter over %T", n.Input)
+			return nil, nil, fmt.Errorf("core: cannot compile plan filter over %T", n.Input)
 		}
-		s, err := e.source(sc.Table)
+		s, _, err := e.source(sc.Table)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		base := e.stated("scan", sc.Table.Binding(), s)
+		scan := e.stated("scan", sc.Table.Binding(), s)
 		if n.Fused {
 			// Specialize the whole chain into one fused kernel loop. A
 			// bridge error (an operand form the kernel cannot express)
 			// falls through to the interpreted chain, which re-raises any
 			// genuine resolution error itself.
-			if prog, kerr := e.compileKernelProgram(base.Schema(), n.Preds); kerr == nil {
-				ff := exec.NewFusedFilter(base, prog, 0, &e.Counters)
-				node := e.newNode("kernel(fused)", n.Label)
-				ff.Stats = node
-				return e.attach(node, ff, base), nil
+			if prog, kerr := e.compileKernelProgram(scan.Schema(), n.Preds); kerr == nil {
+				node := exec.NewOpStats("kernel(fused)", n.Label)
+				return e.attach(node, exec.NewFusedFilter(scan, prog, 0, node), scan), nil, nil
 			}
 		}
-		src := base
-		for _, pr := range n.Preds {
-			pred, err := e.compilePred(src.Schema(), pr)
-			if err != nil {
-				return nil, err
-			}
-			src = exec.NewFilter(src, pred)
-		}
-		return e.stated("filter", n.Label, src, base), nil
+		src, err := e.filter(n.Label, scan, n.Preds)
+		return src, nil, err
 	}
-	return nil, fmt.Errorf("core: cannot compile plan leaf %T", nd)
+	return nil, nil, fmt.Errorf("core: cannot compile plan leaf %T", nd)
+}
+
+// filter compiles preds into a chain of interpreted filters over in,
+// counted by one "filter" node.
+func (e *Env) filter(label string, in *exec.Stated, preds []fsql.Predicate) (*exec.Stated, error) {
+	node := exec.NewOpStats("filter", label)
+	var src exec.Source = in
+	for _, pr := range preds {
+		pred, err := e.compilePred(in.Schema(), pr, node)
+		if err != nil {
+			return nil, err
+		}
+		src = exec.NewFilter(src, pred)
+	}
+	return e.attach(node, src, in), nil
 }
 
 // execJoinPlan runs a flat join plan (strategies flat and chain-join):
@@ -94,26 +103,28 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 		return nil, j.Err
 	}
 	proj := p.Proj()
-	filtered := make([]exec.Source, len(j.Inputs))
+	grouped := hasAggItems(proj.Items) || len(proj.GroupBy) > 0
+	filtered := make([]*exec.Stated, len(j.Inputs))
+	bases := make([]*storage.HeapFile, len(j.Inputs))
 	for i, in := range j.Inputs {
-		src, err := e.compileLeaf(in)
+		src, base, err := e.compileLeaf(in)
 		if err != nil {
 			return nil, err
 		}
-		filtered[i] = src
+		filtered[i], bases[i] = src, base
 	}
 
-	cur := filtered[j.Order[0]]
-	for _, step := range j.Steps {
+	cur, curBase := filtered[j.Order[0]], bases[j.Order[0]]
+	for si, step := range j.Steps {
 		next := filtered[step.Next]
 		extraPreds := make([]fsql.Predicate, 0, len(step.Extras))
 		for _, pi := range step.Extras {
 			extraPreds = append(extraPreds, j.JoinPreds[pi].Pred)
 		}
-		compileExtras := func() (exec.JoinPred, error) {
+		compileExtras := func(node *exec.OpStats) (exec.JoinPred, error) {
 			var extras []exec.JoinPred
 			for _, pr := range extraPreds {
-				jp, err := e.compileJoinPred(cur.Schema(), next.Schema(), pr)
+				jp, err := e.compileJoinPred(cur.Schema(), next.Schema(), pr, node)
 				if err != nil {
 					return nil, err
 				}
@@ -123,14 +134,15 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 		}
 
 		if step.Merge {
-			sortedCur, err := e.sortSource(cur, step.LeftAttr, false)
+			sortedCur, err := e.sortSource(cur, curBase, step.LeftAttr, false)
 			if err != nil {
 				return nil, err
 			}
-			sortedNext, err := e.sortSource(next, step.RightAttr, false)
+			sortedNext, err := e.sortSource(next, bases[step.Next], step.RightAttr, false)
 			if err != nil {
 				return nil, err
 			}
+			node := exec.NewOpStats("merge-join", step.LeftAttr+" = "+step.RightAttr)
 			// Residual conjuncts become a pair program where they have a
 			// kernel form. Otherwise (not kernel-eligible, or a bridge
 			// error) the same morsel sweep evaluates them through the
@@ -144,49 +156,54 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 				}
 			}
 			if pp == nil {
-				if residual, err = compileExtras(); err != nil {
+				if residual, err = compileExtras(node); err != nil {
 					return nil, err
 				}
 			}
-			kj, err := exec.NewKernelMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, pp, &e.Counters, e.workers())
+			kj, err := exec.NewKernelMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, pp, node, e.workers())
 			if err != nil {
 				return nil, err
 			}
 			kj.Residual = residual
-			node := e.newNode("merge-join", step.LeftAttr+" = "+step.RightAttr)
-			kj.Stats = node
+			// Projection pushdown: when the answer's projection sits
+			// directly on this join, the join writes only the projected
+			// values.
+			if si == len(j.Steps)-1 && len(j.Const) == 0 && !grouped {
+				if err := kj.Emit(itemRefs(proj.Items)); err != nil {
+					return nil, err
+				}
+			}
 			cur = e.attach(node, kj, sortedCur, sortedNext)
 		} else {
-			extra, err := compileExtras()
+			node := exec.NewOpStats("nl-join", "")
+			on, err := compileExtras(node)
 			if err != nil {
 				return nil, err
 			}
-			on := extra
 			if on == nil {
 				on = func(l, r frel.Tuple) float64 { return 1 }
 			}
-			node := e.newNode("nl-join", "")
-			nl := exec.NewBlockNLJoin(cur, next, on, e.NLBlockBytes, &e.Counters)
-			nl.Stats = node
-			cur = e.attach(node, nl, cur, next)
+			cur = e.attach(node, exec.NewBlockNLJoin(cur, next, on, e.NLBlockBytes, node), cur, next)
 		}
+		curBase = nil
 	}
 
-	var out exec.Source = cur
-	for _, pr := range j.Const {
-		pred, err := e.compilePred(cur.Schema(), pr)
-		if err != nil {
+	out := cur
+	if len(j.Const) > 0 {
+		var err error
+		if out, err = e.filter("constant predicates", cur, j.Const); err != nil {
 			return nil, err
 		}
-		out = exec.NewFilter(out, pred)
-	}
-	if out != cur {
-		out = e.stated("filter", "constant predicates", out, cur)
 	}
 
 	// Final projection / grouping.
-	if hasAggItems(proj.Items) || len(proj.GroupBy) > 0 {
-		rel, err := e.groupProject(proj.Items, proj.GroupBy, proj.Having, out)
+	if grouped {
+		node := exec.NewOpStats("group", "")
+		src, cols, err := e.groupBy(proj.Items, proj.GroupBy, proj.Having, out, node)
+		if err != nil {
+			return nil, err
+		}
+		rel, err := selectOrder(e.attach(node, src, out), cols)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +211,7 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.notePruned(pruned)
+		node.Pruned.Add(int64(pruned))
 		return rel, nil
 	}
 	if len(proj.Having) > 0 {
@@ -211,24 +228,28 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 // µS(s) and the inner block's local predicates arrive via the
 // pre-filtered inner tuple degree.
 func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, error) {
-	outer, err := e.compileLeaf(a.Outer)
+	outer, outerBase, err := e.compileLeaf(a.Outer)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := e.compileLeaf(a.Inner)
+	inner, innerBase, err := e.compileLeaf(a.Inner)
 	if err != nil {
 		return nil, err
+	}
+	node := exec.NewOpStats("nl-anti-join", "")
+	if a.RangeFound {
+		node = exec.NewOpStats("merge-anti-join", a.RangeOuter+" = "+a.RangeInner)
 	}
 	var terms []exec.JoinPred
 	for _, pr := range a.Corr {
-		jp, err := e.compileJoinPred(outer.Schema(), inner.Schema(), pr)
+		jp, err := e.compileJoinPred(outer.Schema(), inner.Schema(), pr, node)
 		if err != nil {
 			return nil, err
 		}
 		terms = append(terms, jp)
 	}
 	if a.HasLink {
-		linkJP, err := e.compileJoinPred(outer.Schema(), inner.Schema(), a.Link)
+		linkJP, err := e.compileJoinPred(outer.Schema(), inner.Schema(), a.Link, node)
 		if err != nil {
 			return nil, err
 		}
@@ -251,22 +272,20 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 		return 1 - d
 	}
 
-	var result exec.Source
+	var result *exec.Stated
 	if a.RangeFound {
-		sortedOuter, err := e.sortSource(outer, a.RangeOuter, false)
+		sortedOuter, err := e.sortSource(outer, outerBase, a.RangeOuter, false)
 		if err != nil {
 			return nil, err
 		}
-		sortedInner, err := e.sortSource(inner, a.RangeInner, false)
+		sortedInner, err := e.sortSource(inner, innerBase, a.RangeInner, false)
 		if err != nil {
 			return nil, err
 		}
-		am, err := exec.NewMergeAntiMin(sortedOuter, sortedInner, a.RangeOuter, a.RangeInner, penalty, &e.Counters, e.workers())
+		am, err := exec.NewMergeAntiMin(sortedOuter, sortedInner, a.RangeOuter, a.RangeInner, penalty, node, e.workers())
 		if err != nil {
 			return nil, err
 		}
-		node := e.newNode("merge-anti-join", a.RangeOuter+" = "+a.RangeInner)
-		am.Stats = node
 		result = e.attach(node, am, sortedOuter, sortedInner)
 	} else {
 		// No usable merge order (e.g. string attributes): unnested
@@ -275,10 +294,7 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 		if err != nil {
 			return nil, err
 		}
-		node := e.newNode("nl-anti-join", "")
-		nas := exec.NewNLAntiMin(outer, innerRel.Tuples, penalty, &e.Counters)
-		nas.Stats = node
-		result = e.attach(node, nas, outer)
+		result = e.attach(node, exec.NewNLAntiMin(outer, innerRel.Tuples, penalty, node), outer, inner)
 	}
 	return e.finishProject(result, p.Proj().Items, p.Root.Shape)
 }
@@ -286,36 +302,36 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 // execGroupAggPlan runs the sorted group-aggregate join of Queries JA′
 // and COUNT′ (Theorem 6.1).
 func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, error) {
-	outer, err := e.compileLeaf(g.Outer)
+	outer, outerBase, err := e.compileLeaf(g.Outer)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := e.compileLeaf(g.Inner)
+	inner, innerBase, err := e.compileLeaf(g.Inner)
 	if err != nil {
 		return nil, err
 	}
 	if g.IsNear {
-		inner, err = newShiftSource(inner, g.VRef, g.NearShift)
+		shifted, err := newShiftSource(inner, g.VRef, g.NearShift)
 		if err != nil {
 			return nil, err
 		}
+		inner, innerBase = e.stated("shift", g.VRef, shifted, inner), nil
 	}
-	sortedOuter, err := e.sortSource(outer, g.URef, true)
+	sortedOuter, err := e.sortSource(outer, outerBase, g.URef, true)
 	if err != nil {
 		return nil, err
 	}
 	if g.Op2 == fuzzy.OpEq {
-		inner, err = e.sortSource(inner, g.VRef, false)
+		inner, err = e.sortSource(inner, innerBase, g.VRef, false)
 		if err != nil {
 			return nil, err
 		}
 	}
-	ga, err := exec.NewGroupAggJoin(sortedOuter, inner, g.URef, g.VRef, g.Op2, g.ZRef, g.Agg, g.YRef, g.CmpOp, &e.Counters, e.workers())
+	node := exec.NewOpStats("group-agg-join", fmt.Sprintf("%v(%s) by %s", g.Agg, g.ZRef, g.URef))
+	ga, err := exec.NewGroupAggJoin(sortedOuter, inner, g.URef, g.VRef, g.Op2, g.ZRef, g.Agg, g.YRef, g.CmpOp, node, e.workers())
 	if err != nil {
 		return nil, err
 	}
-	node := e.newNode("group-agg-join", fmt.Sprintf("%v(%s) by %s", g.Agg, g.ZRef, g.URef))
-	ga.Stats = node
 	return e.finishProject(e.attach(node, ga, sortedOuter, inner), p.Proj().Items, p.Root.Shape)
 }
 
@@ -323,7 +339,8 @@ func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, 
 // is evaluated once, aggregated to a constant, and applied as a filter
 // over the outer block (Section 6 notes no unnesting is needed).
 func (e *Env) execUncorrPlan(p *plan.Plan, u *plan.UncorrSub) (*frel.Relation, error) {
-	set, err := e.constantSubquerySet(u.Sub)
+	sub := exec.NewOpStats(StrategyNaive.String(), "constant subquery")
+	set, err := e.constantSubquerySet(u.Sub, sub)
 	if err != nil {
 		return nil, err
 	}
@@ -335,41 +352,37 @@ func (e *Env) execUncorrPlan(p *plan.Plan, u *plan.UncorrSub) (*frel.Relation, e
 		members = append(members, fuzzy.Member{Value: m.val.Num, Mu: m.mu})
 	}
 	a, ok := fuzzy.Aggregate(u.Agg, members)
-	outer, err := e.compileLeaf(u.Outer)
+	outer, _, err := e.compileLeaf(u.Outer)
 	if err != nil {
 		return nil, err
 	}
-	var result exec.Source
-	if !ok {
-		result = exec.NewFilter(outer, func(frel.Tuple) float64 { return 0 })
-	} else {
+	node := exec.NewOpStats("filter", "uncorrelated subquery")
+	node.AddChild(sub)
+	pred := func(frel.Tuple) float64 { return 0 } // a NULL aggregate satisfies nothing
+	if ok {
 		yi, err := outer.Schema().Resolve(u.YRef)
 		if err != nil {
 			return nil, err
 		}
 		op := u.CmpOp
-		counters := &e.Counters
-		node := e.newNode("filter", "uncorrelated subquery")
-		result = exec.NewFilter(outer, func(t frel.Tuple) float64 {
-			counters.DegreeEvals.Add(1)
-			if node != nil {
-				node.DegreeEvals.Add(1)
-			}
+		pred = func(t frel.Tuple) float64 {
+			node.DegreeEvals.Add(1)
 			return frel.Degree(op, t.Values[yi], frel.Num(a))
-		})
-		result = e.attach(node, result, outer)
+		}
 	}
+	result := e.attach(node, exec.NewFilter(outer, pred), outer)
 	return e.finishProject(result, p.Proj().Items, p.Root.Shape)
 }
 
 // finishProject projects, deduplicates and applies the answer shape
 // (threshold, order, limit).
-func (e *Env) finishProject(src exec.Source, items []fsql.SelectItem, shape plan.Shape) (*frel.Relation, error) {
+func (e *Env) finishProject(src *exec.Stated, items []fsql.SelectItem, shape plan.Shape) (*frel.Relation, error) {
 	proj, err := exec.NewProject(src, itemRefs(items), true)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := exec.Collect(e.stated("project", "", proj, src))
+	node := exec.NewOpStats("project", "")
+	rel, err := exec.Collect(e.attach(node, proj, src))
 	if err != nil {
 		return nil, err
 	}
@@ -377,14 +390,14 @@ func (e *Env) finishProject(src exec.Source, items []fsql.SelectItem, shape plan
 	if err != nil {
 		return nil, err
 	}
-	e.notePruned(pruned)
+	node.Pruned.Add(int64(pruned))
 	return rel, nil
 }
 
-// constantSubquerySet evaluates an uncorrelated subquery once and returns
-// its answer as a fuzzy value set.
-func (e *Env) constantSubquerySet(sub *fsql.Select) ([]setMember, error) {
-	rel, err := e.evalBlock(sub, nil)
+// constantSubquerySet evaluates an uncorrelated subquery once, counting
+// into node, and returns its answer as a fuzzy value set.
+func (e *Env) constantSubquerySet(sub *fsql.Select, node *exec.OpStats) ([]setMember, error) {
+	rel, err := e.evalNaive(sub, node)
 	if err != nil {
 		return nil, err
 	}

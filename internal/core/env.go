@@ -82,12 +82,12 @@ type Env struct {
 	// one transaction's statements); nil means live reads.
 	snap *Snapshot
 
-	// analyze, when non-nil, is the EXPLAIN ANALYZE collection the run
-	// path attaches per-operator stats nodes to (set for the duration of
-	// an *Analyze evaluation call).
-	analyze *ExecStats
+	// root is the statistics node of the running statement's outermost
+	// operator so far (see attach and run).
+	root *exec.OpStats
 
-	// Counters accumulates operator work across evaluations.
+	// Counters sums the work of the statements evaluated so far: each
+	// adds its operator tree's totals when it ends.
 	Counters exec.Counters
 	// Phases attributes evaluation work to phases; the experiments use it
 	// for the paper's Table 3 time breakdown.
@@ -214,23 +214,22 @@ func (e *Env) ReleaseSortCache() {
 }
 
 // source resolves a FROM-clause relation reference to a scan of its heap
-// file whose schema carries the binding name (FROM alias). Every binding
-// of one relation scans the same heap, so later sorts of the scan share
-// its sort-order cache entries.
-func (e *Env) source(tr fsql.TableRef) (exec.Source, error) {
+// file h whose schema carries the binding name (FROM alias). Every
+// binding of one relation scans the same heap, so later sorts of the scan
+// share its sort-order cache entries.
+func (e *Env) source(tr fsql.TableRef) (src exec.Source, h *storage.HeapFile, err error) {
 	name, alias := tr.Name, tr.Binding()
-	h, err := e.cat.Relation(name)
+	h, err = e.cat.Relation(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var src exec.Source
 	if e.snap != nil && !e.snap.Live(h) {
 		sn, ok := e.snap.Lookup(h)
 		if !ok {
 			// The name resolves to a heap created (or swapped in by a
 			// DELETE rewrite) after the snapshot was taken: the
 			// transaction cannot see a consistent state of it.
-			return nil, fmt.Errorf("core: %w: relation %q changed after the transaction began", ErrTxnConflict, name)
+			return nil, nil, fmt.Errorf("core: %w: relation %q changed after the transaction began", ErrTxnConflict, name)
 		}
 		src = exec.NewHeapSourceAt(h, sn.Tuples)
 	} else {
@@ -239,7 +238,7 @@ func (e *Env) source(tr fsql.TableRef) (exec.Source, error) {
 	if alias != "" && relKey(alias) != h.Schema.Name {
 		src = &renameSource{Source: src, schema: h.Schema.WithName(relKey(alias))}
 	}
-	return exec.WithContext(e.ctx, src), nil
+	return exec.WithContext(e.ctx, src), h, nil
 }
 
 // shiftSource adds a constant distribution to one numeric attribute of
@@ -310,11 +309,12 @@ type renameSource struct {
 func (r *renameSource) Schema() *frel.Schema { return r.schema }
 
 // sortSource returns src stably sorted on attr (total: the CompareTotal
-// order the group-aggregate join needs). A base relation's order comes
-// from the sort-order cache (sortcache.go) or an order index
-// (indexscan.go) when it can. Otherwise src's stream is sorted into runs
-// and the streamed merge of the runs is served.
-func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source, error) {
+// order the group-aggregate join needs). When src plainly scans the heap
+// base (nil otherwise, see compileLeaf), the order comes from the
+// sort-order cache (sortcache.go) or an order index (indexscan.go) when
+// it can. Otherwise src's stream is sorted into runs and the streamed
+// merge of the runs is served.
+func (e *Env) sortSource(src *exec.Stated, base *storage.HeapFile, attr string, total bool) (*exec.Stated, error) {
 	byAttr := extsort.ByAttr
 	if total {
 		byAttr = extsort.ByAttrTotal
@@ -324,17 +324,15 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		return nil, err
 	}
 	attrIdx, _ := src.Schema().Resolve(attr)
-	base, version := e.cacheableBase(src)
 	key := sortKey{heap: base, attr: attrIdx, total: total}
-	node := e.newNode("sort", attr)
-	if ent, ok := e.sortCache[key]; ok && ent.version == version {
-		e.Counters.SortCacheHits.Add(1)
-		if node != nil {
-			node.CacheHits.Store(1)
-		}
-		return e.attach(node, e.sortedSource(src, ent, node), src), nil
-	}
+	node := exec.NewOpStats("sort", attr)
+	var version uint64
 	if base != nil {
+		version = e.heapVersion(base)
+		if ent, ok := e.sortCache[key]; ok && ent.version == version {
+			node.CacheHits.Store(1)
+			return e.attach(node, e.sortedSource(src, ent, node), src), nil
+		}
 		if out, ok, err := e.indexSorted(src, base, attr, attrIdx, total); err != nil || ok {
 			return out, err
 		}
@@ -355,23 +353,17 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 	e.Phases.SortIOs += mgr.Stats().IO() - ios
 	elapsed := time.Since(start)
 	e.Phases.SortWall += elapsed
-	e.Counters.Comparisons.Add(st.Comparisons)
 	if base != nil {
 		e.storeSort(key, ent)
-		e.Counters.SortCacheMisses.Add(1)
+		node.CacheMisses.Store(1)
 	} else {
 		e.retire(runs) // an uncached run set lives for the statement
 	}
-	if node != nil {
-		node.SortRuns.Store(int64(st.Runs))
-		node.MergePasses.Store(int64(st.MergePasses))
-		node.SpillBytes.Store(st.SpillBytes)
-		node.Comparisons.Store(st.Comparisons)
-		node.WallNanos.Store(elapsed.Nanoseconds())
-		if base != nil {
-			node.CacheMisses.Store(1)
-		}
-	}
+	node.SortRuns.Store(int64(st.Runs))
+	node.MergePasses.Store(int64(st.MergePasses))
+	node.SpillBytes.Store(st.SpillBytes)
+	node.Comparisons.Store(st.Comparisons)
+	node.WallNanos.Store(elapsed.Nanoseconds())
 	return e.attach(node, e.sortedSource(src, ent, node), src), nil
 }
 

@@ -46,7 +46,7 @@ func (e *Env) heapCount(h *storage.HeapFile) int64 {
 // followed by an unsorted tail of later inserts; a stable re-sort restores
 // the global (support-begin, support-end, position) order because the
 // tail's positions all exceed the run's.
-func (e *Env) indexSorted(src exec.Source, base *storage.HeapFile, attr string, attrIdx int, total bool) (exec.Source, bool, error) {
+func (e *Env) indexSorted(src *exec.Stated, base *storage.HeapFile, attr string, attrIdx int, total bool) (*exec.Stated, bool, error) {
 	ix := e.cat.IndexForHeap(base, attrIdx)
 	if ix == nil {
 		return nil, false, nil
@@ -95,12 +95,8 @@ func (e *Env) indexSorted(src exec.Source, base *storage.HeapFile, attr string, 
 	keys := frel.SupportKeys(tuples, attrIdx)
 	key := sortKey{heap: base, attr: attrIdx, total: total}
 	e.storeSort(key, &sortEntry{version: e.heapVersion(base), tuples: tuples, keys: keys})
-	e.Counters.IndexHits.Add(1)
 	srel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
-	out := exec.Source(exec.WithContext(e.ctx, exec.NewKeyedMemSource(srel, keys)))
-	if node := e.newNode("index", attr); node != nil {
-		node.IndexHits.Store(1)
-		out = e.attach(node, out, src)
-	}
-	return out, true, nil
+	node := exec.NewOpStats("index", attr)
+	node.IndexHits.Store(1)
+	return e.attach(node, exec.WithContext(e.ctx, exec.NewKeyedMemSource(srel, keys)), src), true, nil
 }

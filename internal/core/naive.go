@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/frel"
@@ -19,7 +20,30 @@ import (
 // baseline of the experiments and the semantic reference the unnesting
 // rewrites are tested against.
 func (e *Env) EvalNaive(q *fsql.Select) (*frel.Relation, error) {
-	return e.evalBlock(q, nil)
+	rel, _, err := e.run(func() (*frel.Relation, error) { return e.execNaive(q) })
+	return rel, err
+}
+
+// execNaive evaluates q by the naive strategy, as its statement's only
+// operator.
+func (e *Env) execNaive(q *fsql.Select) (*frel.Relation, error) {
+	node := exec.NewOpStats(StrategyNaive.String(), "")
+	e.root = node
+	return e.evalNaive(q, node)
+}
+
+// evalNaive evaluates an uncorrelated query block by its nested semantics,
+// counting its rows out, its wall time and every degree evaluation of its
+// blocks into node.
+func (e *Env) evalNaive(q *fsql.Select, node *exec.OpStats) (*frel.Relation, error) {
+	start := time.Now()
+	rel, err := e.evalBlock(q, nil, node)
+	node.WallNanos.Add(time.Since(start).Nanoseconds())
+	if err != nil {
+		return nil, err
+	}
+	node.RowsOut.Add(int64(rel.Len()))
+	return rel, nil
 }
 
 // outerCtx carries the enclosing blocks' (qualified) attributes and the
@@ -33,7 +57,7 @@ type outerCtx struct {
 // tuple (own FROM attributes followed by the enclosing bindings).
 type blockPred func(frel.Tuple) (float64, error)
 
-func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx) (*frel.Relation, error) {
+func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx, node *exec.OpStats) (*frel.Relation, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("core: query block has no FROM clause")
 	}
@@ -42,7 +66,7 @@ func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx) (*frel.Relation, error)
 	}
 	srcs := make([]exec.Source, len(q.From))
 	for i, tr := range q.From {
-		s, err := e.source(tr)
+		s, _, err := e.source(tr)
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +85,7 @@ func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx) (*frel.Relation, error)
 
 	preds := make([]blockPred, 0, len(q.Where))
 	for _, p := range q.Where {
-		bp, err := e.compileBlockPred(fullSchema, p)
+		bp, err := e.compileBlockPred(fullSchema, p, node)
 		if err != nil {
 			return nil, err
 		}
@@ -123,11 +147,13 @@ func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx) (*frel.Relation, error)
 	}
 
 	if useGroup {
-		grouped, err := e.groupProject(q.Items, q.GroupBy, q.Having, exec.NewMemSource(satisfied))
+		src, cols, err := e.groupBy(q.Items, q.GroupBy, q.Having, exec.NewMemSource(satisfied), node)
 		if err != nil {
 			return nil, err
 		}
-		out = grouped
+		if out, err = selectOrder(src, cols); err != nil {
+			return nil, err
+		}
 	} else {
 		out.DedupMax()
 	}
@@ -136,7 +162,7 @@ func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx) (*frel.Relation, error)
 		return nil, err
 	}
 	if outer == nil {
-		e.notePruned(pruned)
+		node.Pruned.Add(int64(pruned))
 	}
 	return out, nil
 }
@@ -244,10 +270,10 @@ func (e *Env) forEachCross(srcs []exec.Source, fn func(vals []frel.Value, d floa
 
 // compileBlockPred compiles one WHERE conjunct, including subquery
 // predicates, against the full evaluation schema.
-func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate) (blockPred, error) {
+func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate, node *exec.OpStats) (blockPred, error) {
 	switch p.Kind {
 	case fsql.PredCompare, fsql.PredNear:
-		pred, err := e.compilePred(fullSchema, p)
+		pred, err := e.compilePred(fullSchema, p, node)
 		if err != nil {
 			return nil, err
 		}
@@ -266,11 +292,11 @@ func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate) (block
 		op := p.Op
 		quant := p.Quant
 		return func(t frel.Tuple) (float64, error) {
-			set, err := e.evalSubquerySet(sub, fullSchema, t)
+			set, err := e.evalSubquerySet(sub, fullSchema, t, node)
 			if err != nil {
 				return 0, err
 			}
-			e.Counters.DegreeEvals.Add(int64(len(set)))
+			node.DegreeEvals.Add(int64(len(set)))
 			v := leftGet(t)
 			switch kind {
 			case fsql.PredIn:
@@ -292,7 +318,7 @@ func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate) (block
 		sub := p.Sub
 		neg := p.Kind == fsql.PredNotExists
 		return func(t frel.Tuple) (float64, error) {
-			set, err := e.evalSubquerySet(sub, fullSchema, t)
+			set, err := e.evalSubquerySet(sub, fullSchema, t, node)
 			if err != nil {
 				return 0, err
 			}
@@ -325,7 +351,7 @@ func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate) (block
 		stripped.Items = []fsql.SelectItem{{Ref: p.Sub.Items[0].Ref}}
 		op := p.Op
 		return func(t frel.Tuple) (float64, error) {
-			set, err := e.evalSubquerySet(&stripped, fullSchema, t)
+			set, err := e.evalSubquerySet(&stripped, fullSchema, t, node)
 			if err != nil {
 				return 0, err
 			}
@@ -340,7 +366,7 @@ func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate) (block
 			if !ok {
 				return 0, nil // NULL aggregate satisfies nothing
 			}
-			e.Counters.DegreeEvals.Add(1)
+			node.DegreeEvals.Add(1)
 			return frel.Degree(op, leftGet(t), frel.Num(a)), nil
 		}, nil
 
@@ -386,8 +412,8 @@ func checkScalarSubquery(sub *fsql.Select) error {
 
 // evalSubquerySet evaluates the subquery with the current outer binding
 // and returns its answer as a fuzzy set of values.
-func (e *Env) evalSubquerySet(sub *fsql.Select, fullSchema *frel.Schema, full frel.Tuple) ([]setMember, error) {
-	rel, err := e.evalBlock(sub, &outerCtx{schema: fullSchema, tuple: full})
+func (e *Env) evalSubquerySet(sub *fsql.Select, fullSchema *frel.Schema, full frel.Tuple, node *exec.OpStats) ([]setMember, error) {
+	rel, err := e.evalBlock(sub, &outerCtx{schema: fullSchema, tuple: full}, node)
 	if err != nil {
 		return nil, err
 	}
@@ -401,10 +427,11 @@ func (e *Env) evalSubquerySet(sub *fsql.Select, fullSchema *frel.Schema, full fr
 	return set, nil
 }
 
-// groupProject applies the GROUPBY/aggregate path of a block: group the
-// source tuples, compute aggregates, apply HAVING, project the items in
-// SELECT order.
-func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having []fsql.Predicate, in exec.Source) (*frel.Relation, error) {
+// groupBy builds the GROUPBY/aggregate path of a block: group the source
+// tuples, compute aggregates and apply HAVING, whose degree evaluations
+// count into node. cols maps the SELECT items, in order, to the
+// returned source's columns (see selectOrder).
+func (e *Env) groupBy(items []fsql.SelectItem, groupRefs []string, having []fsql.Predicate, in exec.Source, node *exec.OpStats) (src exec.Source, cols []int, err error) {
 	var aggItems []exec.AggItem
 	for _, it := range items {
 		if it.HasAgg {
@@ -418,49 +445,54 @@ func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having [
 				}
 			}
 			if !found {
-				return nil, fmt.Errorf("core: non-aggregated item %q must appear in GROUPBY", it.Ref)
+				return nil, nil, fmt.Errorf("core: non-aggregated item %q must appear in GROUPBY", it.Ref)
 			}
 		}
 	}
 	ga, err := exec.NewGroupAgg(in, groupRefs, aggItems)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var src exec.Source = ga
+	src = ga
 	for _, h := range having {
-		pred, err := e.compilePred(ga.Schema(), h)
+		pred, err := e.compilePred(ga.Schema(), h, node)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		src = exec.NewFilter(src, pred)
 	}
-	// Reorder output columns to SELECT order.
-	idx := make([]int, len(items))
+	cols = make([]int, len(items))
 	aggPos := 0
 	for i, it := range items {
 		if it.HasAgg {
-			idx[i] = len(groupRefs) + aggPos
+			cols[i] = len(groupRefs) + aggPos
 			aggPos++
 		} else {
 			for j, g := range groupRefs {
 				if g == it.Ref {
-					idx[i] = j
+					cols[i] = j
 					break
 				}
 			}
 		}
 	}
+	return src, cols, nil
+}
+
+// selectOrder collects a groupBy source with its columns reordered to
+// SELECT order, eliminating duplicates with their maximum degree.
+func selectOrder(src exec.Source, cols []int) (*frel.Relation, error) {
 	rel, err := exec.Collect(src)
 	if err != nil {
 		return nil, err
 	}
 	outSchema := &frel.Schema{}
-	for _, j := range idx {
+	for _, j := range cols {
 		outSchema.Attrs = append(outSchema.Attrs, rel.Schema.Attrs[j])
 	}
 	out := frel.NewRelation(outSchema)
 	for _, t := range rel.Tuples {
-		out.Append(t.Project(idx))
+		out.Append(t.Project(cols))
 	}
 	out.DedupMax()
 	return out, nil

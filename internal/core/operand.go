@@ -116,8 +116,9 @@ func (e *Env) resolvePair(left, right fsql.Operand, schemas ...*frel.Schema) (l,
 }
 
 // compilePred compiles a PredCompare or PredNear whose operands are both
-// resolvable in one schema into an exec.Pred.
-func (e *Env) compilePred(schema *frel.Schema, p fsql.Predicate) (exec.Pred, error) {
+// resolvable in one schema into an exec.Pred. Each evaluation counts one
+// degree evaluation into node.
+func (e *Env) compilePred(schema *frel.Schema, p fsql.Predicate, node *exec.OpStats) (exec.Pred, error) {
 	deg, err := e.pairDegreeFunc(p)
 	if err != nil {
 		return nil, err
@@ -126,9 +127,8 @@ func (e *Env) compilePred(schema *frel.Schema, p fsql.Predicate) (exec.Pred, err
 	if err != nil {
 		return nil, err
 	}
-	counters := &e.Counters
 	return func(t frel.Tuple) float64 {
-		counters.DegreeEvals.Add(1)
+		node.DegreeEvals.Add(1)
 		return deg(l.get(t), r.get(t))
 	}, nil
 }
@@ -155,8 +155,9 @@ func (e *Env) pairDegreeFunc(p fsql.Predicate) (func(a, b frel.Value) float64, e
 
 // compileJoinPred compiles a PredCompare or PredNear across two inputs
 // into an exec.JoinPred. Each operand may resolve in either input (the
-// left input is tried first) or be a literal.
-func (e *Env) compileJoinPred(left, right *frel.Schema, p fsql.Predicate) (exec.JoinPred, error) {
+// left input is tried first) or be a literal. Each evaluation counts one
+// degree evaluation into node.
+func (e *Env) compileJoinPred(left, right *frel.Schema, p fsql.Predicate, node *exec.OpStats) (exec.JoinPred, error) {
 	deg, err := e.pairDegreeFunc(p)
 	if err != nil {
 		return nil, err
@@ -165,7 +166,6 @@ func (e *Env) compileJoinPred(left, right *frel.Schema, p fsql.Predicate) (exec.
 	if err != nil {
 		return nil, err
 	}
-	counters := &e.Counters
 	pick := func(info operandInfo, lt, rt frel.Tuple) frel.Value {
 		switch info.side {
 		case 0:
@@ -177,7 +177,7 @@ func (e *Env) compileJoinPred(left, right *frel.Schema, p fsql.Predicate) (exec.
 		}
 	}
 	return func(lt, rt frel.Tuple) float64 {
-		counters.DegreeEvals.Add(1)
+		node.DegreeEvals.Add(1)
 		return deg(pick(l, lt, rt), pick(r, lt, rt))
 	}, nil
 }

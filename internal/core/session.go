@@ -468,9 +468,10 @@ func (s *Session) delete(st *fsql.Delete) error {
 	if err != nil {
 		return err
 	}
+	node := exec.NewOpStats("delete", st.Table)
 	var preds []exec.Pred
 	for _, p := range st.Where {
-		pred, err := s.Env.compilePred(h.Schema, p)
+		pred, err := s.Env.compilePred(h.Schema, p, node)
 		if err != nil {
 			return err
 		}
@@ -495,6 +496,7 @@ func (s *Session) delete(st *fsql.Delete) error {
 			kept = append(kept, t)
 		}
 	}
+	s.Env.Counters.AddTotals(node.Snapshot())
 	return s.cat.ReplaceRelationContents(st.Table, kept)
 }
 

@@ -30,9 +30,10 @@ import (
 //     disagrees with the visible one is a miss and the entry is rebuilt.
 //     DELETE and catalog reloads create a new heap-file pointer, which
 //     simply never matches again.
-//   - Only plain scans are cacheable: the source must unwrap to the heap
-//     scan itself (no filters or joins in between), since a filtered
-//     stream's sorted order is not the base relation's.
+//   - Only plain scans are cacheable: compileLeaf reports the heap of a
+//     plain scan as the sort's base, and nil for a filtered leaf or a
+//     join, since a filtered stream's sorted order is not the base
+//     relation's.
 //
 // Entry counts are bounded by wholesale eviction (sortCacheMaxEntries).
 // The run files of displaced entries, like those of uncached sorts, are
@@ -59,19 +60,6 @@ type sortEntry struct {
 	tuples  []frel.Tuple
 	keys    []frel.SupportKey
 	runs    *extsort.RunSet
-}
-
-// cacheableBase resolves src to the heap file it plainly scans, or nil,
-// and the heap's version as the evaluation sees it.
-func (e *Env) cacheableBase(src exec.Source) (*storage.HeapFile, uint64) {
-	s := exec.Unwrap(src)
-	if r, ok := s.(*renameSource); ok {
-		s = exec.Unwrap(r.Source)
-	}
-	if hs, ok := s.(*exec.HeapSource); ok {
-		return hs.Heap, e.heapVersion(hs.Heap)
-	}
-	return nil, 0
 }
 
 // storeSort caches ent under k. Run sets it displaces (a stale version, or
@@ -107,8 +95,8 @@ func (e *Env) dropStatementRuns() {
 
 // runSource streams the merge of a run set; every Open starts a fresh
 // merge, and merges over one run set may be open at once. The merge's
-// wall, page I/O and key comparisons are charged to the sort phase, the
-// comparison counter and the sort node as batches are pulled.
+// wall and page I/O are charged to the sort phase, and its key
+// comparisons to the sort node, as batches are pulled.
 type runSource struct {
 	e      *Env
 	runs   *extsort.RunSet
@@ -136,9 +124,6 @@ func (it *runIterator) NextBatch() ([]frel.Tuple, bool) {
 	it.e.Phases.SortIOs += stats.IO() - ios
 	cmp := it.Comparisons() - it.cmp
 	it.cmp += cmp
-	it.e.Counters.Comparisons.Add(cmp)
-	if it.node != nil {
-		it.node.Comparisons.Add(cmp)
-	}
+	it.node.Comparisons.Add(cmp)
 	return b, ok
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/fuzzy"
+	"repro/internal/plan"
 	"repro/internal/storage"
 )
 
@@ -53,22 +54,30 @@ func tieEnv(cat *catalog.Catalog) *Env {
 	return env
 }
 
-// sortedSeq returns T sorted on X the way a merge-join input is served.
-func sortedSeq(t *testing.T, env *Env, total bool) []frel.Tuple {
+// sortedSeq returns T sorted on X the way a merge-join input is served,
+// and the statistics node of the sorted source.
+func sortedSeq(t *testing.T, env *Env, total bool) ([]frel.Tuple, *exec.OpStats) {
 	t.Helper()
-	src, err := env.source(fsql.TableRef{Name: "T"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := env.sortSource(src, "X", total)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := sortedScan(t, env, fsql.TableRef{Name: "T"}, total)
 	rel, err := exec.Collect(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rel.Tuples
+	return rel.Tuples, out.Node
+}
+
+// sortedScan compiles a plain scan of tr and sorts it on X.
+func sortedScan(t *testing.T, env *Env, tr fsql.TableRef, total bool) *exec.Stated {
+	t.Helper()
+	src, base, err := env.compileLeaf(&plan.Scan{Table: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := env.sortSource(src, base, "X", total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestSortServedMatchesIndexServed: on a tie-heavy relation, the external
@@ -78,13 +87,12 @@ func sortedSeq(t *testing.T, env *Env, total bool) []frel.Tuple {
 func TestSortServedMatchesIndexServed(t *testing.T) {
 	cat := tieCatalog(t, 3000)
 	for _, total := range []bool{false, true} {
-		sorted := sortedSeq(t, tieEnv(cat), total)
+		sorted, _ := sortedSeq(t, tieEnv(cat), total)
 		if _, err := cat.CreateIndex("ix_t_x", "T", "X"); err != nil {
 			t.Fatal(err)
 		}
-		indexed := tieEnv(cat)
-		got := sortedSeq(t, indexed, total)
-		if indexed.Counters.IndexHits.Load() != 1 {
+		got, node := sortedSeq(t, tieEnv(cat), total)
+		if node.IndexHits.Load() != 1 {
 			t.Fatalf("total=%v: index did not serve the input", total)
 		}
 		if len(got) != len(sorted) {
@@ -300,14 +308,7 @@ func TestAliasSelfJoinStreamsOneRunSet(t *testing.T) {
 	}
 
 	// Two merges over the cached run set, pulled in lockstep.
-	src, err := env.source(fsql.TableRef{Name: "T", Alias: "X"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := env.sortSource(src, "X", false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := sortedScan(t, env, fsql.TableRef{Name: "T", Alias: "X"}, false)
 	a, err := out.Open()
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,8 @@ func (e *Env) EvalUnnested(q *fsql.Select) (*frel.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.execPlan(p)
+	rel, _, err := e.run(func() (*frel.Relation, error) { return e.execPlan(p) })
+	return rel, err
 }
 
 // EvalUnnestedContext is EvalUnnested observing ctx: the evaluation's leaf
@@ -82,7 +83,8 @@ func (e *Env) EvalPlanContext(ctx context.Context, p *plan.Plan) (*frel.Relation
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return e.execPlan(p)
+	rel, _, err := e.run(func() (*frel.Relation, error) { return e.execPlan(p) })
+	return rel, err
 }
 
 // EvalNaiveContext is EvalNaive observing ctx like EvalUnnestedContext.

@@ -20,10 +20,11 @@ type MergeAntiMin struct {
 	Outer, Inner         Source
 	OuterAttr, InnerAttr string
 	Penalty              JoinPred
-	Counters             *Counters
 
-	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
-	// measures (see KernelMergeJoin.Stats for the counting conventions).
+	// Stats is the operator's plan node, counted like
+	// KernelMergeJoin.Stats: every window tuple examined is a comparison,
+	// every support-intersecting pair a degree evaluation (the penalty's
+	// conjuncts count themselves).
 	Stats *OpStats
 
 	oi, ii  int
@@ -33,14 +34,11 @@ type MergeAntiMin struct {
 // NewMergeAntiMin builds the operator with the given worker count (0 =
 // GOMAXPROCS); inputs must be sorted like for KernelMergeJoin, and Penalty
 // must evaluate to 1 for pairs whose join-attribute supports do not
-// intersect.
-func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, penalty JoinPred, counters *Counters, workers int) (*MergeAntiMin, error) {
+// intersect. The operator counts into st.
+func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, penalty JoinPred, st *OpStats, workers int) (*MergeAntiMin, error) {
 	oi, ii, err := checkJoinAttrs(outer, inner, outerAttr, innerAttr)
 	if err != nil {
 		return nil, err
-	}
-	if counters == nil {
-		counters = &Counters{}
 	}
 	if workers <= 0 {
 		workers = DefaultParallelism()
@@ -48,7 +46,7 @@ func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, penalty J
 	return &MergeAntiMin{
 		Outer: outer, Inner: inner,
 		OuterAttr: outerAttr, InnerAttr: innerAttr,
-		Penalty: penalty, Counters: counters, workers: workers,
+		Penalty: penalty, Stats: st, workers: workers,
 		oi: oi, ii: ii,
 	}, nil
 }
@@ -59,7 +57,7 @@ func (j *MergeAntiMin) Schema() *frel.Schema { return j.Outer.Schema() }
 // Open implements Source: each morsel of the merge sweep takes, per outer
 // tuple, the minimum penalty over its Rng(r) window.
 func (j *MergeAntiMin) Open() (BatchIterator, error) {
-	return runSweep(j.Outer, j.Inner, j.oi, j.ii, fuzzy.Trapezoid{}, j.workers, j.Counters, j.Stats, func(m *sweepMorsel) []frel.Tuple {
+	return runSweep(j.Outer, j.Inner, j.oi, j.ii, fuzzy.Trapezoid{}, j.workers, j.Stats, func(m *sweepMorsel) []frel.Tuple {
 		loc := &m.loc
 		var out []frel.Tuple
 		for o := m.oLo; o < m.oHi; o++ {
@@ -74,8 +72,6 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 					continue // Penalty would be 1
 				}
 				rng++
-				loc.stCmp++
-				loc.stDeg++
 				loc.deg++
 				if g := j.Penalty(l, m.inner[k]); g < d {
 					d = g
@@ -86,7 +82,6 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 			}
 			loc.observeRng(rng)
 			if d > 0 {
-				loc.tout++
 				l.D = d
 				out = append(out, l)
 			}
@@ -102,23 +97,20 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 // Still an unnested evaluation — the inner block is not re-evaluated per
 // outer tuple.
 type NLAntiMin struct {
-	Outer    Source
-	Inner    []frel.Tuple
-	Penalty  JoinPred
-	Counters *Counters
+	Outer   Source
+	Inner   []frel.Tuple
+	Penalty JoinPred
 
-	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
-	// measures; every outer×inner pair counts as one comparison and one
-	// degree evaluation.
+	// Stats is the operator's plan node: every outer×inner pair examined
+	// counts as one comparison and one degree evaluation (the penalty's
+	// conjuncts count themselves).
 	Stats *OpStats
 }
 
-// NewNLAntiMin builds the operator over a materialized inner relation.
-func NewNLAntiMin(outer Source, inner []frel.Tuple, penalty JoinPred, counters *Counters) *NLAntiMin {
-	if counters == nil {
-		counters = &Counters{}
-	}
-	return &NLAntiMin{Outer: outer, Inner: inner, Penalty: penalty, Counters: counters}
+// NewNLAntiMin builds the operator over a materialized inner relation,
+// counting into st.
+func NewNLAntiMin(outer Source, inner []frel.Tuple, penalty JoinPred, st *OpStats) *NLAntiMin {
+	return &NLAntiMin{Outer: outer, Inner: inner, Penalty: penalty, Stats: st}
 }
 
 // Schema implements Source; the output carries the outer schema.
@@ -164,12 +156,8 @@ func (it *nlAntiBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 				it.out = append(it.out, l)
 			}
 		}
-		j.Counters.DegreeEvals.Add(evals)
-		j.Counters.TuplesOut.Add(int64(len(it.out)))
-		if st := j.Stats; st != nil {
-			st.Comparisons.Add(evals)
-			st.DegreeEvals.Add(evals)
-		}
+		j.Stats.Comparisons.Add(evals)
+		j.Stats.DegreeEvals.Add(evals)
 		if len(it.out) > 0 {
 			return it.out, true
 		}

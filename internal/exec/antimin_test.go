@@ -45,7 +45,7 @@ func TestMergeAntiMinMatchesBruteForce(t *testing.T) {
 		penalty := func(l, m frel.Tuple) float64 {
 			return 1 - fuzzy.Min(m.D, fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num))
 		}
-		op, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", penalty, nil, 1)
+		op, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", penalty, testNode(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,8 @@ func TestMergeAntiMinMatchesBruteForce(t *testing.T) {
 // TestNLAntiMinMatchesBruteForce checks the nested-loop anti-join (every
 // outer tuple against the whole materialized inner) against the all-pairs
 // reference, over outer inputs spanning several batches, and its work
-// counters: one degree evaluation per pair examined.
+// node's work counters: one comparison and one degree evaluation per pair
+// examined, and its rows out.
 func TestNLAntiMinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, n := range []int{30, 2500} {
@@ -71,22 +72,25 @@ func TestNLAntiMinMatchesBruteForce(t *testing.T) {
 		penalty := func(l, m frel.Tuple) float64 {
 			return 1 - fuzzy.Min(m.D, fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num))
 		}
-		var c Counters
-		op := NewNLAntiMin(NewMemSource(r), s.Tuples, penalty, &c)
-		op.Stats = NewOpStats("nl-anti-join", "")
-		got := drain(t, op)
+		st := NewOpStats("nl-anti-join", "")
+		got := drain(t, NewStated(NewNLAntiMin(NewMemSource(r), s.Tuples, penalty, st), st))
 		if !got.Equal(want, 0) {
 			t.Fatalf("n=%d: anti-min mismatch: got %d tuples, want %d", n, got.Len(), want.Len())
 		}
-		evals := c.DegreeEvals.Load()
-		if evals == 0 || evals > int64(r.Len()*s.Len()) {
-			t.Errorf("n=%d: DegreeEvals %d outside (0, %d]", n, evals, r.Len()*s.Len())
+		var pairs int64
+		for _, l := range r.Tuples {
+			for _, m := range s.Tuples {
+				pairs++
+				if penalty(l, m) == 0 {
+					break
+				}
+			}
 		}
-		if c.TuplesOut.Load() != int64(got.Len()) {
-			t.Errorf("n=%d: TuplesOut %d, want %d", n, c.TuplesOut.Load(), got.Len())
+		if snap := st.Snapshot(); snap.Comparisons != pairs || snap.DegreeEvals != pairs {
+			t.Errorf("n=%d: stats cmp/deg %d/%d, want %d/%d", n, snap.Comparisons, snap.DegreeEvals, pairs, pairs)
 		}
-		if snap := op.Stats.Snapshot(); snap.Comparisons != evals || snap.DegreeEvals != evals {
-			t.Errorf("n=%d: stats cmp/deg %d/%d, want %d/%d", n, snap.Comparisons, snap.DegreeEvals, evals, evals)
+		if st.RowsOut.Load() != int64(got.Len()) {
+			t.Errorf("n=%d: RowsOut %d, want %d", n, st.RowsOut.Load(), got.Len())
 		}
 	}
 }
@@ -96,7 +100,7 @@ func TestMergeAntiMinEmptyInner(t *testing.T) {
 	r := randomRel("R", 10, 40, 2, rng)
 	s := frel.NewRelation(xSchema("S"))
 	penalty := func(l, m frel.Tuple) float64 { return 0 }
-	op, err := NewMergeAntiMin(sortedSource(t, r, "X"), NewMemSource(s), "R.X", "S.X", penalty, nil, 1)
+	op, err := NewMergeAntiMin(sortedSource(t, r, "X"), NewMemSource(s), "R.X", "S.X", penalty, testNode(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +129,7 @@ func TestMergeAntiMinDropsZeroDegree(t *testing.T) {
 	penalty := func(l, m frel.Tuple) float64 {
 		return 1 - fuzzy.Min(m.D, fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num))
 	}
-	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", penalty, nil, 1)
+	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", penalty, testNode(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +145,7 @@ func TestMergeAntiMinRejectsUnsorted(t *testing.T) {
 	r.Append(frel.NewTuple(1, frel.Crisp(2), frel.Crisp(5)))
 	s := frel.NewRelation(xSchema("S"))
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(7)))
-	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", func(l, m frel.Tuple) float64 { return 1 }, nil, 1)
+	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", func(l, m frel.Tuple) float64 { return 1 }, testNode(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +201,7 @@ func TestMergeAntiMinQuantifiedAllStyle(t *testing.T) {
 	}
 
 	// Range on the equality attribute ID.
-	op, err := NewMergeAntiMin(sortedSource(t, r, "ID"), sortedSource(t, s, "ID"), "R.ID", "S.ID", penalty, nil, 1)
+	op, err := NewMergeAntiMin(sortedSource(t, r, "ID"), sortedSource(t, s, "ID"), "R.ID", "S.ID", penalty, testNode(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

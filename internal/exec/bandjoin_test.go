@@ -38,7 +38,7 @@ func TestBandMergeJoinMatchesBruteForce(t *testing.T) {
 		for _, tol := range tols {
 			want := bruteBandJoin(r, s, tol)
 			for _, workers := range []int{1, 4} {
-				mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", tol, nil, nil, workers)
+				mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", tol, nil, testNode(), workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -62,7 +62,7 @@ func TestBandMergeJoinCrispBand(t *testing.T) {
 	// Band 5: each r matches exactly the s shifted by +4 (and the one 6
 	// below? i*10 vs (i-1)*10+4 = i*10-6: |diff| = 6 > 5, no).
 	band := fuzzy.Interval(-5, 5)
-	mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", band, nil, nil, 1)
+	mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", band, nil, testNode(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestBandMergeJoinCrispBand(t *testing.T) {
 func TestBandMergeJoinInvalidTolerance(t *testing.T) {
 	r := frel.NewRelation(xSchema("R"))
 	if _, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(r.Clone()), "X", "X",
-		fuzzy.Trapezoid{A: 2, B: 1, C: 0, D: -1}, nil, nil, 1); err == nil {
+		fuzzy.Trapezoid{A: 2, B: 1, C: 0, D: -1}, nil, testNode(), 1); err == nil {
 		t.Errorf("invalid tolerance: want error")
 	}
 }
@@ -92,7 +92,7 @@ func TestBandMergeJoinSinglePass(t *testing.T) {
 	r := randomRel("R", 200, 2000, 1, rng)
 	s := randomRel("S", 200, 2000, 1, rng)
 	inner := &countingSource{Source: sortedSource(t, s, "X")}
-	mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), inner, "R.X", "S.X", fuzzy.Tolerance(0, 50), nil, nil, 4)
+	mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), inner, "R.X", "S.X", fuzzy.Tolerance(0, 50), nil, testNode(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,23 +47,11 @@ func sameSequence(t *testing.T, name string, got, want []frel.Tuple) {
 	}
 }
 
-// sameCounters requires the two executions to have recorded identical
-// work counters.
-func sameCounters(t *testing.T, name string, got, want *Counters) {
-	t.Helper()
-	if g, w := got.Comparisons.Load(), want.Comparisons.Load(); g != w {
-		t.Errorf("%s: Comparisons %d, want %d", name, g, w)
-	}
-	if g, w := got.DegreeEvals.Load(), want.DegreeEvals.Load(); g != w {
-		t.Errorf("%s: DegreeEvals %d, want %d", name, g, w)
-	}
-	if g, w := got.TuplesOut.Load(), want.TuplesOut.Load(); g != w {
-		t.Errorf("%s: TuplesOut %d, want %d", name, g, w)
-	}
-}
+// testNode is a statistics node for an operator under test.
+func testNode() *OpStats { return NewOpStats("test", "") }
 
-// sameStats requires identical OpStats contents (the EXPLAIN ANALYZE
-// contract: scheduling must not change any reported counter).
+// sameStats requires identical work counters (the statistics contract:
+// scheduling must not change any counted work).
 func sameStats(t *testing.T, name string, got, want *OpStats) {
 	t.Helper()
 	g, w := got.Snapshot(), want.Snapshot()
@@ -81,7 +69,8 @@ func sameStats(t *testing.T, name string, got, want *OpStats) {
 // TestBatchMergeJoinExtraPredicate covers the interpreted residual arm of
 // the merge-join: the answer equals the all-pairs join with the residual
 // degree folded in, at every worker count, and the residual is charged
-// one degree evaluation per pair it runs on.
+// one degree evaluation per pair it runs on. The join's node counts its
+// rows out.
 func TestBatchMergeJoinExtraPredicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	r := randomRel("R", 90, 40, 4, rng)
@@ -104,13 +93,13 @@ func TestBatchMergeJoinExtraPredicate(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		var c Counters
-		got := drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", extra, &c, workers))
+		c := testNode()
+		got := drain(t, NewStated(equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", extra, c, workers), c))
 		if !got.Equal(want, 0) {
 			t.Fatalf("workers %d: got %d tuples, want %d", workers, got.Len(), want.Len())
 		}
-		if c.TuplesOut.Load() != int64(want.Len()) {
-			t.Errorf("workers %d: TuplesOut %d, want %d", workers, c.TuplesOut.Load(), want.Len())
+		if c.RowsOut.Load() != int64(want.Len()) {
+			t.Errorf("workers %d: RowsOut %d, want %d", workers, c.RowsOut.Load(), want.Len())
 		}
 		if c.DegreeEvals.Load() < pairs {
 			t.Errorf("workers %d: DegreeEvals %d below the %d joining pairs", workers, c.DegreeEvals.Load(), pairs)
@@ -164,7 +153,7 @@ func joinPipeline(t testing.TB, r, s *frel.Relation) Source {
 	t.Helper()
 	pred := func(tp frel.Tuple) float64 { return 1 }
 	mj, err := NewKernelMergeJoin(NewFilter(NewMemSource(r), pred), NewFilter(NewMemSource(s), pred),
-		"R.X", "S.X", fuzzy.Crisp(0), nil, nil, 1)
+		"R.X", "S.X", fuzzy.Crisp(0), nil, testNode(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

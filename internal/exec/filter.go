@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"fmt"
-
-	"repro/internal/frel"
-)
+import "repro/internal/frel"
 
 // Pred evaluates the satisfaction degree of a condition on one tuple
 // (Section 2.2 of the paper). Implementations return a value in [0, 1].
@@ -112,14 +108,17 @@ func (it *filterBatchIterator) Close()     { it.in.Close() }
 // Project projects tuples onto a subset of attributes and, when Dedup is
 // set, eliminates duplicates keeping the maximum membership degree (fuzzy
 // OR), the paper's answer-construction rule. Deduplication materializes
-// the distinct tuples before emitting them.
+// the distinct tuples before emitting them. A projection onto exactly its
+// source's attributes, in order (a source that already emits the
+// projected row, like a merge-join narrowed with Emit), passes the
+// tuples through without copying them.
 type Project struct {
 	Src   Source
 	Refs  []string
 	Dedup bool
 
 	schema *frel.Schema
-	idx    []int
+	idx    []int // nil: the identity projection
 }
 
 // NewProject builds a projection onto the given attribute references.
@@ -127,6 +126,13 @@ func NewProject(src Source, refs []string, dedup bool) (*Project, error) {
 	schema, idx, err := src.Schema().Project(refs)
 	if err != nil {
 		return nil, err
+	}
+	identity := len(idx) == len(src.Schema().Attrs)
+	for i, j := range idx {
+		identity = identity && i == j
+	}
+	if identity {
+		idx = nil
 	}
 	return &Project{Src: src, Refs: refs, Dedup: dedup, schema: schema, idx: idx}, nil
 }
@@ -139,26 +145,12 @@ func (p *Project) Schema() *frel.Schema { return p.schema }
 // batch instead of one per tuple); the dedup form materializes the
 // distinct tuples and replays them.
 func (p *Project) Open() (BatchIterator, error) {
-	// Projection pushdown: a projection directly over a merge join
-	// materializes only the projected values in the join's emit arena,
-	// skipping the full concatenated row. The dedup form additionally
-	// deduplicates the join's already-projected rows in place of the
-	// per-tuple Project allocation. Wrapped joins (e.g. under an EXPLAIN
-	// ANALYZE stats shim) are left alone so per-node row counts stay
-	// observable.
-	kj, projected := p.Src.(*KernelMergeJoin)
-	var in BatchIterator
-	var err error
-	if projected {
-		in, err = kj.openProjected(p.idx)
-	} else {
-		in, err = p.Src.Open()
-	}
+	in, err := p.Src.Open()
 	if err != nil {
 		return nil, err
 	}
 	if !p.Dedup {
-		if projected {
+		if p.idx == nil {
 			return in, nil
 		}
 		return &projectBatchIterator{in: in, idx: p.idx}, nil
@@ -173,7 +165,7 @@ func (p *Project) Open() (BatchIterator, error) {
 		}
 		for _, t := range b {
 			pt := t
-			if !projected {
+			if p.idx != nil {
 				pt = t.Project(p.idx)
 			}
 			k := pt.Key()
@@ -280,29 +272,3 @@ func (it *thresholdBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 
 func (it *thresholdBatchIterator) Err() error { return it.in.Err() }
 func (it *thresholdBatchIterator) Close()     { it.in.Close() }
-
-// RefDegree builds a Pred computing d(attr op value) for a fixed
-// right-hand value.
-func RefDegree(schema *frel.Schema, ref string, op OpFunc) (Pred, error) {
-	i, err := schema.Resolve(ref)
-	if err != nil {
-		return nil, err
-	}
-	return func(t frel.Tuple) float64 { return op(t.Values[i]) }, nil
-}
-
-// OpFunc computes a degree from a single value; used to build predicates
-// against constants.
-type OpFunc func(frel.Value) float64
-
-// errSource is a Source that fails on Open; used by operators that detect
-// configuration errors lazily.
-type errSource struct{ err error }
-
-func (e errSource) Schema() *frel.Schema         { return &frel.Schema{} }
-func (e errSource) Open() (BatchIterator, error) { return nil, e.err }
-
-// Errf builds a Source that fails with a formatted error.
-func Errf(format string, args ...interface{}) Source {
-	return errSource{fmt.Errorf(format, args...)}
-}

@@ -32,12 +32,7 @@ func TestFilterCombinesDegrees(t *testing.T) {
 		frel.NewTuple(1.0, frel.Crisp(99), frel.Str("c")),
 	)
 	mediumYoung := fuzzy.Trap(20, 25, 30, 35)
-	pred, err := RefDegree(rel.Schema, "X", func(v frel.Value) float64 {
-		return fuzzy.Eq(v.Num, mediumYoung)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred := func(t frel.Tuple) float64 { return fuzzy.Eq(t.Values[0].Num, mediumYoung) }
 	out := drain(t, NewFilter(NewMemSource(rel), pred))
 	// (0.9, 24): min(0.9, 0.8) = 0.8; (0.5, 27): min(0.5, 1) = 0.5; 99 dropped.
 	if out.Len() != 2 {
@@ -124,13 +119,6 @@ func TestThreshold(t *testing.T) {
 	}
 	if out.Tuples[0].D != 0.5 {
 		t.Errorf("threshold is inclusive: %v", out.Tuples[0])
-	}
-}
-
-func TestErrfSource(t *testing.T) {
-	src := Errf("boom %d", 42)
-	if _, err := src.Open(); err == nil {
-		t.Errorf("want error")
 	}
 }
 

@@ -14,23 +14,20 @@ import (
 // functions, and it evaluates later predicates only on tuples earlier ones
 // kept, exactly like the chain does.
 type FusedFilter struct {
-	Src      Source
-	Prog     *kernel.Program
-	Z        float64 // WITH D >= Z threshold; 0 keeps every positive degree
-	Counters *Counters
+	Src  Source
+	Prog *kernel.Program
+	Z    float64 // WITH D >= Z threshold; 0 keeps every positive degree
 
-	// Stats, when non-nil, receives the kernel observability counters
-	// (KernelTuples). The node's DegreeEvals stays untouched, matching the
-	// interpreted filter node, so analyzed totals are kernel-invariant.
+	// Stats is the filter's plan node: it counts the chain's degree
+	// evaluations, the same count the interpreted chain's predicates make,
+	// and the tuples the kernel evaluated (KernelTuples).
 	Stats *OpStats
 }
 
-// NewFusedFilter builds a compiled filter chain over src.
-func NewFusedFilter(src Source, prog *kernel.Program, z float64, counters *Counters) *FusedFilter {
-	if counters == nil {
-		counters = &Counters{}
-	}
-	return &FusedFilter{Src: src, Prog: prog, Z: z, Counters: counters}
+// NewFusedFilter builds a compiled filter chain over src, counting into
+// st.
+func NewFusedFilter(src Source, prog *kernel.Program, z float64, st *OpStats) *FusedFilter {
+	return &FusedFilter{Src: src, Prog: prog, Z: z, Stats: st}
 }
 
 // Schema implements Source.
@@ -63,14 +60,8 @@ func (it *fusedBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 			it.degs = make([]float64, len(b))
 		}
 		degs := it.degs[:len(b)]
-		evals := f.Prog.RunBatch(b, degs)
-		if evals != 0 {
-			f.Counters.DegreeEvals.Add(evals)
-		}
-		f.Counters.KernelTuples.Add(int64(len(b)))
-		if st := f.Stats; st != nil {
-			st.KernelTuples.Add(int64(len(b)))
-		}
+		f.Stats.DegreeEvals.Add(f.Prog.RunBatch(b, degs))
+		f.Stats.KernelTuples.Add(int64(len(b)))
 		// Pass-through fast path: a batch the kernel neither drops from
 		// nor re-grades is served as-is (no copy).
 		copying := false

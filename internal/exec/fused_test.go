@@ -28,7 +28,7 @@ func fusedProgram(t testing.TB) *kernel.Program {
 // interpretedChain is the closure-evaluator equivalent of fusedProgram
 // over the same source, charging DegreeEvals exactly like the compiled
 // predicate closures do (once per predicate call).
-func interpretedChain(src Source, z float64, c *Counters) Source {
+func interpretedChain(src Source, z float64, c *OpStats) Source {
 	konst1 := frel.Num(fuzzy.Tri(10, 20, 30))
 	konst2 := fuzzy.Crisp(30)
 	tol := fuzzy.Tri(-25, 0, 25)
@@ -54,13 +54,12 @@ func TestFusedFilterMatchesInterpreted(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			r := randomRel("R", 200+rng.Intn(300), 60, 6, rng)
 
-			var ck Counters
-			ff := NewFusedFilter(NewMemSource(r), fusedProgram(t), z, &ck)
-			gotBatch := batchDrain(t, ff)
+			ck := testNode()
+			gotBatch := batchDrain(t, NewFusedFilter(NewMemSource(r), fusedProgram(t), z, ck))
 			kernelEvals := ck.DegreeEvals.Load()
 
-			var ci Counters
-			want := batchDrain(t, interpretedChain(NewMemSource(r), z, &ci))
+			ci := testNode()
+			want := batchDrain(t, interpretedChain(NewMemSource(r), z, ci))
 			sameSequence(t, "fused filter", gotBatch, want)
 			if kernelEvals != ci.DegreeEvals.Load() {
 				t.Fatalf("z=%g: kernel made %d degree evals, interpreted chain %d",
@@ -73,22 +72,27 @@ func TestFusedFilterMatchesInterpreted(t *testing.T) {
 	}
 }
 
-// TestFusedFilterStats checks that a stats node attached to the fused
-// filter receives the kernel observability counter.
+// TestFusedFilterStats checks that the fused filter's node receives the
+// kernel observability counter and the chain's degree evaluations: the
+// first step on every tuple, the second on each tuple the first kept.
 func TestFusedFilterStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := randomRel("R", 120, 60, 6, rng)
-	var c Counters
-	ff := NewFusedFilter(NewMemSource(r), fusedProgram(t), 0, &c)
 	st := NewOpStats("kernel(fused)", "R")
-	ff.Stats = st
-	batchDrain(t, ff)
+	batchDrain(t, NewFusedFilter(NewMemSource(r), fusedProgram(t), 0, st))
 	snap := st.Snapshot()
 	if snap.KernelTuples != int64(r.Len()) {
 		t.Fatalf("stats KernelTuples = %d, want %d", snap.KernelTuples, r.Len())
 	}
-	if snap.DegreeEvals != 0 {
-		t.Fatalf("stats DegreeEvals = %d, want 0 (filter nodes do not report degree evals)", snap.DegreeEvals)
+	konst := frel.Num(fuzzy.Tri(10, 20, 30))
+	want := int64(r.Len())
+	for _, tp := range r.Tuples {
+		if fuzzy.Min(tp.D, frel.Degree(fuzzy.OpGt, tp.Values[1], konst)) > 0 {
+			want++
+		}
+	}
+	if snap.DegreeEvals != want {
+		t.Fatalf("stats DegreeEvals = %d, want %d", snap.DegreeEvals, want)
 	}
 }
 
@@ -113,11 +117,11 @@ func TestKernelPipelineAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c Counters
+	st := testNode()
 
 	var rows int
 	allocs := testing.AllocsPerRun(5, func() {
-		ff := NewFusedFilter(NewMemSource(r), prog, 0.01, &c)
+		ff := NewFusedFilter(NewMemSource(r), prog, 0.01, st)
 		proj, err := NewProject(ff, []string{"R.ID"}, false)
 		if err != nil {
 			t.Fatal(err)

@@ -43,20 +43,21 @@ type GroupAggJoin struct {
 	OuterYAttr string // R.Y, compared against the aggregate
 	Op1        fuzzy.Op
 
-	Counters *Counters
-
-	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
-	// measures (see KernelMergeJoin.Stats for the counting conventions);
-	// the Rng observations are the per-group candidate scan lengths.
+	// Stats is the operator's plan node, counted like
+	// KernelMergeJoin.Stats: every candidate inner tuple examined is a
+	// comparison; each candidate's correlation degree and each outer
+	// tuple's comparison against the aggregate are degree evaluations.
+	// The Rng observations are the per-group candidate scan lengths.
 	Stats *OpStats
 
 	ui, vi, zi, yi int
 	workers        int
 }
 
-// NewGroupAggJoin validates attribute references and kinds; workers is
-// the merge sweep's worker count (0 = GOMAXPROCS).
-func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, innerZ string, agg fuzzy.AggFunc, outerY string, op1 fuzzy.Op, counters *Counters, workers int) (*GroupAggJoin, error) {
+// NewGroupAggJoin validates attribute references and kinds; the operator
+// counts into st, and workers is the merge sweep's worker count (0 =
+// GOMAXPROCS).
+func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, innerZ string, agg fuzzy.AggFunc, outerY string, op1 fuzzy.Op, st *OpStats, workers int) (*GroupAggJoin, error) {
 	ui, vi, err := checkJoinAttrs(outer, inner, outerU, innerV)
 	if err != nil {
 		return nil, err
@@ -75,9 +76,6 @@ func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, i
 	if outer.Schema().Attrs[yi].Kind != frel.KindNumber {
 		return nil, fmt.Errorf("exec: compared attribute %s must be numeric", outerY)
 	}
-	if counters == nil {
-		counters = &Counters{}
-	}
 	if workers <= 0 {
 		workers = DefaultParallelism()
 	}
@@ -86,7 +84,7 @@ func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, i
 		OuterUAttr: outerU, InnerVAttr: innerV, Op2: op2,
 		InnerZAttr: innerZ, Agg: agg,
 		OuterYAttr: outerY, Op1: op1,
-		Counters: counters, workers: workers,
+		Stats: st, workers: workers,
 		ui: ui, vi: vi, zi: zi, yi: yi,
 	}, nil
 }
@@ -98,7 +96,7 @@ func (j *GroupAggJoin) Schema() *frel.Schema { return j.Outer.Schema() }
 // Open implements Source.
 func (j *GroupAggJoin) Open() (BatchIterator, error) {
 	if j.Op2 == fuzzy.OpEq {
-		return runSweep(j.Outer, j.Inner, j.ui, j.vi, fuzzy.Trapezoid{}, j.workers, j.Counters, j.Stats, func(m *sweepMorsel) []frel.Tuple {
+		return runSweep(j.Outer, j.Inner, j.ui, j.vi, fuzzy.Trapezoid{}, j.workers, j.Stats, func(m *sweepMorsel) []frel.Tuple {
 			return j.emit(m.outer[m.oLo:m.oHi], m.oKeys[m.oLo:m.oHi], &m.loc, func(lo, hi float64, acc func(frel.Tuple)) {
 				start, end := m.window(lo, hi)
 				for k := start; k < end; k++ {
@@ -127,7 +125,7 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 			acc(s)
 		}
 	})
-	loc.flush(j.Counters, j.Stats)
+	loc.flush(j.Stats)
 	return &partsBatchIterator{parts: [][]frel.Tuple{out}}, nil
 }
 
@@ -146,8 +144,6 @@ func (j *GroupAggJoin) emit(outer []frel.Tuple, keys []frel.SupportKey, loc *bat
 			var rng int64
 			scan(keys[o].Lo, keys[o].Hi, func(s frel.Tuple) {
 				rng++
-				loc.stCmp++
-				loc.stDeg++
 				loc.deg++
 				d := frel.Degree(j.Op2, s.Values[j.vi], u)
 				if s.D < d {
@@ -170,14 +166,12 @@ func (j *GroupAggJoin) emit(outer []frel.Tuple, keys []frel.SupportKey, loc *bat
 		if !aggOK {
 			continue // A′(u) is NULL and the aggregate is not COUNT
 		}
-		loc.stDeg++
 		loc.deg++
 		d := fuzzy.Degree(j.Op1, r.Values[j.yi].Num, aggVal)
 		if r.D < d {
 			d = r.D
 		}
 		if d > 0 {
-			loc.tout++
 			r.D = d
 			out = append(out, r)
 		}

@@ -52,9 +52,9 @@ func sortedSource(t *testing.T, r *frel.Relation, attr string) Source {
 
 // equiJoin builds the merge-join on exact fuzzy equality with an
 // optional interpreted residual predicate.
-func equiJoin(t *testing.T, outer, inner Source, outerAttr, innerAttr string, residual JoinPred, c *Counters, workers int) *KernelMergeJoin {
+func equiJoin(t *testing.T, outer, inner Source, outerAttr, innerAttr string, residual JoinPred, st *OpStats, workers int) *KernelMergeJoin {
 	t.Helper()
-	mj, err := NewKernelMergeJoin(outer, inner, outerAttr, innerAttr, fuzzy.Crisp(0), nil, c, workers)
+	mj, err := NewKernelMergeJoin(outer, inner, outerAttr, innerAttr, fuzzy.Crisp(0), nil, st, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestMergeJoinMatchesBruteForce(t *testing.T) {
 		s := randomRel("S", 60, 50, 3, rng)
 		want := bruteJoin(r, s)
 		for _, workers := range []int{1, 4} {
-			got := drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, nil, workers))
+			got := drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, testNode(), workers))
 			if !got.Equal(want, 0) {
 				t.Fatalf("trial %d workers %d: merge-join mismatch: got %d tuples, want %d", trial, workers, got.Len(), want.Len())
 			}
@@ -101,7 +101,7 @@ func TestMergeJoinWideIntervalsDanglingTuples(t *testing.T) {
 	s := randomRel("S", 30, 40, 20, rng)
 	want := bruteJoin(r, s)
 	for _, workers := range []int{1, 4} {
-		got := drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, nil, workers))
+		got := drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, testNode(), workers))
 		if !got.Equal(want, 0) {
 			t.Fatalf("workers %d: wide-interval merge-join mismatch", workers)
 		}
@@ -119,7 +119,7 @@ func TestBlockNLJoinMatchesBruteForce(t *testing.T) {
 		return fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num)
 	}
 	// Small block size to force several inner rescans.
-	j := NewBlockNLJoin(NewMemSource(r), NewMemSource(s), on, 512, nil)
+	j := NewBlockNLJoin(NewMemSource(r), NewMemSource(s), on, 512, testNode())
 	got := drain(t, j)
 	if !got.Equal(want, 0) {
 		t.Fatalf("nested-loop mismatch: got %d, want %d", got.Len(), want.Len())
@@ -128,7 +128,7 @@ func TestBlockNLJoinMatchesBruteForce(t *testing.T) {
 	// A cross product several output batches long, with the block budget
 	// cutting outer batches short: every pair once, at min(l.D, m.D).
 	big := randomRel("R", 1500, 50, 3, rng)
-	cross := NewBlockNLJoin(NewMemSource(big), NewMemSource(s), func(l, m frel.Tuple) float64 { return 1 }, 8192, nil)
+	cross := NewBlockNLJoin(NewMemSource(big), NewMemSource(s), func(l, m frel.Tuple) float64 { return 1 }, 8192, testNode())
 	got = drain(t, cross)
 	if got.Len() != big.Len()*s.Len() {
 		t.Fatalf("cross product emitted %d pairs, want %d", got.Len(), big.Len()*s.Len())
@@ -157,7 +157,7 @@ func TestMergeJoinExtraPredicate(t *testing.T) {
 	extra := func(l, m frel.Tuple) float64 {
 		return fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num)
 	}
-	got := drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", extra, nil, 1))
+	got := drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", extra, testNode(), 1))
 	if got.Len() != 2 {
 		t.Fatalf("len = %d, want 2 (extra predicate filters cross pairs)", got.Len())
 	}
@@ -172,10 +172,10 @@ func TestMergeJoinRejectsUnsortedInputs(t *testing.T) {
 	s.Append(frel.NewTuple(1, frel.Crisp(2), frel.Crisp(10)))
 
 	for _, workers := range []int{1, 4} {
-		if _, err := Collect(equiJoin(t, NewMemSource(r), NewMemSource(s), "R.X", "S.X", nil, nil, workers)); err == nil {
+		if _, err := Collect(equiJoin(t, NewMemSource(r), NewMemSource(s), "R.X", "S.X", nil, testNode(), workers)); err == nil {
 			t.Errorf("workers %d: unsorted outer: want error", workers)
 		}
-		if _, err := Collect(equiJoin(t, NewMemSource(s), NewMemSource(r), "S.X", "R.X", nil, nil, workers)); err == nil {
+		if _, err := Collect(equiJoin(t, NewMemSource(s), NewMemSource(r), "S.X", "R.X", nil, testNode(), workers)); err == nil {
 			t.Errorf("workers %d: unsorted inner: want error", workers)
 		}
 	}
@@ -183,7 +183,7 @@ func TestMergeJoinRejectsUnsortedInputs(t *testing.T) {
 
 func TestMergeJoinRejectsStringAttr(t *testing.T) {
 	r := frel.NewRelation(frel.NewSchema("R", frel.Attribute{Name: "NAME", Kind: frel.KindString}))
-	if _, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(r.Clone()), "NAME", "NAME", fuzzy.Crisp(0), nil, nil, 1); err == nil {
+	if _, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(r.Clone()), "NAME", "NAME", fuzzy.Crisp(0), nil, testNode(), 1); err == nil {
 		t.Errorf("string join attribute: want error")
 	}
 }
@@ -192,13 +192,13 @@ func TestMergeJoinCountsWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := randomRel("R", 50, 40, 2, rng)
 	s := randomRel("S", 50, 40, 2, rng)
-	var c Counters
-	out := drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, &c, 1))
+	c := testNode()
+	out := drain(t, NewStated(equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, c, 1), c))
 	if c.DegreeEvals.Load() <= 0 || c.Comparisons.Load() < c.DegreeEvals.Load() {
 		t.Errorf("counters: degreeEvals=%d comparisons=%d", c.DegreeEvals.Load(), c.Comparisons.Load())
 	}
-	if c.TuplesOut.Load() != int64(out.Len()) {
-		t.Errorf("TuplesOut = %d, want %d", c.TuplesOut.Load(), out.Len())
+	if c.RowsOut.Load() != int64(out.Len()) {
+		t.Errorf("RowsOut = %d, want %d", c.RowsOut.Load(), out.Len())
 	}
 }
 
@@ -209,8 +209,8 @@ func TestMergeJoinExaminesOnlyRange(t *testing.T) {
 	const n = 400
 	r := randomRel("R", n, 10000, 1, rng)
 	s := randomRel("S", n, 10000, 1, rng)
-	var c Counters
-	drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, &c, 1))
+	c := testNode()
+	drain(t, equiJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, c, 1))
 	if c.Comparisons.Load() > n*n/10 {
 		t.Errorf("comparisons = %d, want far fewer than %d", c.Comparisons.Load(), n*n)
 	}
@@ -225,7 +225,7 @@ func TestBlockNLJoinBlockCount(t *testing.T) {
 	)
 	s := relXY("S", frel.NewTuple(1, frel.Crisp(1), frel.Str("x")))
 	inner := &countingSource{Source: NewMemSource(s)}
-	j := NewBlockNLJoin(NewMemSource(r), inner, func(l, m frel.Tuple) float64 { return 1 }, 80, nil)
+	j := NewBlockNLJoin(NewMemSource(r), inner, func(l, m frel.Tuple) float64 { return 1 }, 80, testNode())
 	out := drain(t, j)
 	if out.Len() != 3 {
 		t.Fatalf("len = %d", out.Len())

@@ -38,7 +38,6 @@ type KernelMergeJoin struct {
 	OuterAttr, InnerAttr string
 	Extra                *kernel.PairProgram // nil or empty: no compiled residual
 	Residual             JoinPred            // interpreted residual, used when Extra is nil or empty
-	Counters             *Counters
 	Workers              int
 
 	// Tol generalizes the equi-join to a band join (Section 3 relates the
@@ -48,23 +47,24 @@ type KernelMergeJoin struct {
 	// The zero value is Crisp(0): exact fuzzy equality.
 	Tol fuzzy.Trapezoid
 
-	// Stats, when non-nil, receives the EXPLAIN ANALYZE measures. Unlike
-	// Counters.Comparisons (which counts every window tuple examined,
-	// including dangling tuples), Stats.Comparisons and Stats.DegreeEvals
-	// count only support-intersecting pairs — a morsel-invariant quantity
-	// — and the Rng(r) scan length of each outer tuple is reported through
-	// Stats.ObserveRng. The kernel counters (KernelTuples, Morsels) are
-	// display-only.
+	// Stats is the join's plan node. Comparisons counts every window
+	// tuple examined, dangling ones included; DegreeEvals counts every
+	// conjunct reached: the join degree of each support-intersecting
+	// pair, then each residual conjunct evaluated. The Rng(r) scan length
+	// of each outer tuple (the inner tuples whose supports intersect it)
+	// goes to the Rng observations. KernelTuples and Morsels record the
+	// compiled sweep's work units.
 	Stats *OpStats
 
-	schema *frel.Schema
-	oi, ii int
+	schema  *frel.Schema
+	oi, ii  int
+	emitIdx []int // nil: the full outer ++ inner row
 }
 
 // NewKernelMergeJoin builds a band merge-join with the given worker count
-// (0 = GOMAXPROCS) and compiled residual (nil for none). Crisp(0) as tol
-// is exact fuzzy equality.
-func NewKernelMergeJoin(outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.PairProgram, counters *Counters, workers int) (*KernelMergeJoin, error) {
+// (0 = GOMAXPROCS) and compiled residual (nil for none), counting into
+// st. Crisp(0) as tol is exact fuzzy equality.
+func NewKernelMergeJoin(outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.PairProgram, st *OpStats, workers int) (*KernelMergeJoin, error) {
 	oi, ii, err := checkJoinAttrs(outer, inner, outerAttr, innerAttr)
 	if err != nil {
 		return nil, err
@@ -72,51 +72,47 @@ func NewKernelMergeJoin(outer, inner Source, outerAttr, innerAttr string, tol fu
 	if !tol.Valid() {
 		return nil, fmt.Errorf("exec: invalid band tolerance %v", tol)
 	}
-	if counters == nil {
-		counters = &Counters{}
-	}
 	if workers <= 0 {
 		workers = DefaultParallelism()
 	}
 	return &KernelMergeJoin{
 		Outer: outer, Inner: inner,
 		OuterAttr: outerAttr, InnerAttr: innerAttr,
-		Extra: extra, Counters: counters, Tol: tol, Workers: workers,
+		Extra: extra, Stats: st, Tol: tol, Workers: workers,
 		schema: outer.Schema().Join(inner.Schema()),
 		oi:     oi, ii: ii,
 	}, nil
 }
 
+// Emit narrows the join's output to the given attributes of the
+// concatenated outer ++ inner row (projection pushdown): only their
+// values are written to the output arena, and the join's schema becomes
+// the projected one.
+func (j *KernelMergeJoin) Emit(refs []string) error {
+	schema, idx, err := j.schema.Project(refs)
+	if err != nil {
+		return err
+	}
+	j.schema, j.emitIdx = schema, idx
+	return nil
+}
+
 // Schema implements Source.
 func (j *KernelMergeJoin) Schema() *frel.Schema { return j.schema }
 
-// Open implements Source.
+// Open implements Source. The whole join runs eagerly: morsels are pulled
+// off the shared queue by the worker pool and their outputs are replayed
+// in morsel order, which is the serial emission order.
 func (j *KernelMergeJoin) Open() (BatchIterator, error) {
-	return j.openProjected(nil)
-}
-
-// openProjected opens the join with an optional pushed-down emit mask of
-// indices into the concatenated outer ++ inner row (projection pushdown:
-// only the projected values are written to the output arena). A nil mask
-// emits the full row. The whole join runs eagerly: morsels are pulled off
-// the shared queue by the worker pool and their outputs are replayed in
-// morsel order, which is the serial emission order.
-func (j *KernelMergeJoin) openProjected(emitIdx []int) (BatchIterator, error) {
 	tolZero := j.Tol == (fuzzy.Trapezoid{})
 	extra := j.Extra
 	if extra != nil && extra.Len() == 0 {
 		extra = nil
 	}
-	emitW := len(j.schema.Attrs)
-	if emitIdx != nil {
-		emitW = len(emitIdx)
-	}
+	emitIdx, emitW := j.emitIdx, len(j.schema.Attrs)
 	nOuter := len(j.Outer.Schema().Attrs)
-	return runSweep(j.Outer, j.Inner, j.oi, j.ii, j.Tol, j.Workers, j.Counters, j.Stats, func(m *sweepMorsel) []frel.Tuple {
-		j.Counters.KernelTuples.Add(int64(m.oHi - m.oLo))
-		if st := j.Stats; st != nil {
-			st.KernelTuples.Add(int64(m.oHi - m.oLo))
-		}
+	return runSweep(j.Outer, j.Inner, j.oi, j.ii, j.Tol, j.Workers, j.Stats, func(m *sweepMorsel) []frel.Tuple {
+		j.Stats.KernelTuples.Add(int64(m.oHi - m.oLo))
 		loc := &m.loc
 		outer, inner, iKeys := m.outer, m.inner, m.iKeys
 		var out []frel.Tuple
@@ -133,8 +129,6 @@ func (j *KernelMergeJoin) openProjected(emitIdx []int) (BatchIterator, error) {
 					continue // dangling tuple inside the range
 				}
 				rng++
-				loc.stCmp++
-				loc.stDeg++
 				loc.deg++
 				sX := inner[k].Values[j.ii].Num
 				if !tolZero {
@@ -149,7 +143,6 @@ func (j *KernelMergeJoin) openProjected(emitIdx []int) (BatchIterator, error) {
 				}
 				if d > 0 && extra != nil {
 					loc.deg++
-					loc.stDeg++
 					g, ev := extra.EvalAnd(outer[o].Values, inner[k].Values)
 					loc.deg += ev
 					if g < d {
@@ -157,7 +150,6 @@ func (j *KernelMergeJoin) openProjected(emitIdx []int) (BatchIterator, error) {
 					}
 				} else if d > 0 && j.Residual != nil {
 					loc.deg++
-					loc.stDeg++
 					if g := j.Residual(outer[o], inner[k]); g < d {
 						d = g
 					}
@@ -165,7 +157,6 @@ func (j *KernelMergeJoin) openProjected(emitIdx []int) (BatchIterator, error) {
 				if d <= 0 {
 					continue
 				}
-				loc.tout++
 				if len(arena)+emitW > cap(arena) {
 					n := 2 * cap(arena)
 					if n > kernelArenaChunk {

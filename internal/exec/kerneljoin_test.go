@@ -14,7 +14,7 @@ import (
 // interpreted JoinPred with the andJoinPreds evaluation order, charging
 // DegreeEvals per conjunct call exactly like the compiled join-predicate
 // closures do.
-func pairExtras(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
+func pairExtras(t testing.TB, c *OpStats) (*kernel.PairProgram, JoinPred) {
 	t.Helper()
 	konst := frel.Num(fuzzy.Tri(10, 30, 50))
 	pp, err := kernel.CompilePair([]kernel.PairStep{
@@ -54,8 +54,8 @@ func pairExtras(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
 // TestKernelMergeJoinMatchesInterpreted cross-checks the two residual
 // arms of the merge-join on random inputs: residual conjuncts compiled
 // into a PairProgram against the same conjuncts as an interpreted
-// JoinPred — identical output sequences, work counters and EXPLAIN
-// ANALYZE stats at every worker count, with and without residuals.
+// JoinPred — identical output sequences and work counters at every
+// worker count, with and without residuals.
 func TestKernelMergeJoinMatchesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tols := []fuzzy.Trapezoid{fuzzy.Crisp(0), fuzzy.Tri(-3, 0, 3), fuzzy.Trap(-5, -2, 2, 5)}
@@ -66,42 +66,37 @@ func TestKernelMergeJoinMatchesInterpreted(t *testing.T) {
 				s := randomRel("S", 80+rng.Intn(120), 80, 6, rng)
 				tol := tols[trial%len(tols)]
 
-				var ck Counters
 				sk := NewOpStats("merge-join", "")
 				var pp *kernel.PairProgram
 				if withExtra {
-					pp, _ = pairExtras(t, &ck)
+					pp, _ = pairExtras(t, sk)
 				}
 				kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-					"R.X", "S.X", tol, pp, &ck, workers)
+					"R.X", "S.X", tol, pp, sk, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				kj.Stats = sk
 				got := batchDrain(t, kj)
 
-				var ci Counters
 				si := NewOpStats("merge-join", "")
 				ij, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-					"R.X", "S.X", tol, nil, &ci, workers)
+					"R.X", "S.X", tol, nil, si, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if withExtra {
-					_, ij.Residual = pairExtras(t, &ci)
+					_, ij.Residual = pairExtras(t, si)
 				}
-				ij.Stats = si
 				want := batchDrain(t, ij)
 
 				name := "kernel merge-join"
 				sameSequence(t, name, got, want)
-				sameCounters(t, name, &ck, &ci)
 				sameStats(t, name, sk, si)
-				if ck.Morsels.Load() == 0 {
+				if sk.Morsels.Load() == 0 {
 					t.Errorf("%s: no morsels recorded", name)
 				}
-				if ck.KernelTuples.Load() != int64(r.Len()) {
-					t.Errorf("%s: KernelTuples %d, want %d", name, ck.KernelTuples.Load(), r.Len())
+				if sk.KernelTuples.Load() != int64(r.Len()) {
+					t.Errorf("%s: KernelTuples %d, want %d", name, sk.KernelTuples.Load(), r.Len())
 				}
 			}
 		}
@@ -109,30 +104,34 @@ func TestKernelMergeJoinMatchesInterpreted(t *testing.T) {
 }
 
 // TestKernelMergeJoinProjected checks the projection-pushdown emit of the
-// merge-join, with and without duplicate elimination, against the
-// join-then-project pipeline (a stats wrapper around the join disables
-// the pushdown).
+// merge-join (Emit), with and without duplicate elimination, against the
+// join-then-project pipeline.
 func TestKernelMergeJoinProjected(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, dedup := range []bool{false, true} {
 		for trial := 0; trial < 6; trial++ {
 			r := randomRel("R", 100+rng.Intn(100), 60, 5, rng)
 			s := randomRel("S", 100+rng.Intn(100), 60, 5, rng)
+			refs := []string{"R.ID", "S.ID"}
 			build := func() *KernelMergeJoin {
 				kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-					"R.X", "S.X", fuzzy.Crisp(0), nil, nil, 3)
+					"R.X", "S.X", fuzzy.Crisp(0), nil, testNode(), 3)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return kj
 			}
-			kproj, err := NewProject(build(), []string{"R.ID", "S.ID"}, dedup)
+			narrowed := build()
+			if err := narrowed.Emit(refs); err != nil {
+				t.Fatal(err)
+			}
+			kproj, err := NewProject(narrowed, refs, dedup)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := batchDrain(t, kproj)
 
-			iproj, err := NewProject(NewStated(build(), NewOpStats("merge-join", "")), []string{"R.ID", "S.ID"}, dedup)
+			iproj, err := NewProject(build(), refs, dedup)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,25 +153,19 @@ func TestKernelMergeJoinEmptySides(t *testing.T) {
 		if flip {
 			outer, inner, oa, ia = empty, r, "S.X", "R.X"
 		}
-		var c Counters
 		st := NewOpStats("merge-join", "")
 		kj, err := NewKernelMergeJoin(sortedSource(t, outer, "X"), sortedSource(t, inner, "X"),
-			oa, ia, fuzzy.Crisp(0), nil, &c, 2)
+			oa, ia, fuzzy.Crisp(0), nil, st, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kj.Stats = st
 		if got := batchDrain(t, kj); len(got) != 0 {
 			t.Fatalf("flip=%v: empty-side join emitted %d tuples", flip, len(got))
 		}
-		if c.Comparisons.Load() != 0 || c.DegreeEvals.Load() != 0 || c.TuplesOut.Load() != 0 {
-			t.Errorf("flip=%v: counters cmp/deg/out %d/%d/%d, want zero", flip,
-				c.Comparisons.Load(), c.DegreeEvals.Load(), c.TuplesOut.Load())
-		}
 		snap := st.Snapshot()
-		if snap.RngCount != int64(outer.Len()) || snap.RngMax != 0 || snap.Comparisons != 0 {
-			t.Errorf("flip=%v: stats rng n=%d max=%d cmp=%d, want n=%d max=0 cmp=0", flip,
-				snap.RngCount, snap.RngMax, snap.Comparisons, outer.Len())
+		if snap.RngCount != int64(outer.Len()) || snap.RngMax != 0 || snap.Comparisons != 0 || snap.DegreeEvals != 0 {
+			t.Errorf("flip=%v: stats rng n=%d max=%d cmp=%d deg=%d, want n=%d max=0 cmp=0 deg=0", flip,
+				snap.RngCount, snap.RngMax, snap.Comparisons, snap.DegreeEvals, outer.Len())
 		}
 	}
 }

@@ -20,31 +20,28 @@ type BlockNLJoin struct {
 	Outer, Inner Source
 	On           JoinPred
 	BlockBytes   int // outer block budget; default one page
-	Counters     *Counters
 
-	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
-	// measures; every outer×inner pair counts as one comparison and one
-	// degree evaluation.
+	// Stats is the join's plan node: every outer×inner pair counts as one
+	// comparison and one degree evaluation (the On conjuncts count
+	// themselves).
 	Stats *OpStats
 
 	schema *frel.Schema
 }
 
 // NewBlockNLJoin builds a block nested-loop join with the given outer
-// block budget in bytes (values < 1 default to one page).
-func NewBlockNLJoin(outer, inner Source, on JoinPred, blockBytes int, counters *Counters) *BlockNLJoin {
+// block budget in bytes (values < 1 default to one page), counting into
+// st.
+func NewBlockNLJoin(outer, inner Source, on JoinPred, blockBytes int, st *OpStats) *BlockNLJoin {
 	if blockBytes < 1 {
 		blockBytes = storage.PageSize
-	}
-	if counters == nil {
-		counters = &Counters{}
 	}
 	return &BlockNLJoin{
 		Outer:      outer,
 		Inner:      inner,
 		On:         on,
 		BlockBytes: blockBytes,
-		Counters:   counters,
+		Stats:      st,
 		schema:     outer.Schema().Join(inner.Schema()),
 	}
 }
@@ -149,9 +146,8 @@ func (it *nlBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 		for it.bpos < len(it.block) && len(it.out) < BatchSize {
 			l := it.block[it.bpos]
 			it.bpos++
+			it.loc.cmp++
 			it.loc.deg++
-			it.loc.stCmp++
-			it.loc.stDeg++
 			d := j.On(l, r)
 			if l.D < d {
 				d = l.D
@@ -160,7 +156,6 @@ func (it *nlBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 				d = r.D
 			}
 			if d > 0 {
-				it.loc.tout++
 				it.out = append(it.out, l.Concat(r, d))
 			}
 		}
@@ -169,7 +164,7 @@ func (it *nlBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 			it.bpos = 0
 		}
 	}
-	it.loc.flush(j.Counters, j.Stats)
+	it.loc.flush(j.Stats)
 	return it.out, len(it.out) > 0
 }
 

@@ -49,15 +49,14 @@ func identicalSequences(t *testing.T, serial, parallel *frel.Relation, tol float
 }
 
 // morselJoin builds the merge-join with the given tolerance, interpreted
-// residual, worker count and counters/stats sinks.
-func morselJoin(t *testing.T, r, s *frel.Relation, tol fuzzy.Trapezoid, residual JoinPred, workers int, c *Counters, st *OpStats) *KernelMergeJoin {
+// residual, worker count and statistics node.
+func morselJoin(t *testing.T, r, s *frel.Relation, tol fuzzy.Trapezoid, residual JoinPred, workers int, st *OpStats) *KernelMergeJoin {
 	t.Helper()
-	mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", tol, nil, c, workers)
+	mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", tol, nil, st, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mj.Residual = residual
-	mj.Stats = st
 	return mj
 }
 
@@ -65,10 +64,9 @@ func morselJoin(t *testing.T, r, s *frel.Relation, tol fuzzy.Trapezoid, residual
 // workloads with narrow, wide-interval, and dangling tuples, the
 // morsel-scheduled merge-join must return the identical fuzzy relation —
 // same tuples, same emission order, bit-identical degrees — at every
-// worker count, with identical degree evaluations, output counts and
-// EXPLAIN ANALYZE stats. Counters.Comparisons, which also counts the
-// dangling tuples of each window, is equal too: the window empties at
-// every atomic cut, wherever a morsel starts.
+// worker count, with identical work counters. Comparisons, which also
+// counts the dangling tuples of each window, is equal too: the window
+// empties at every atomic cut, wherever a morsel starts.
 func TestParallelMergeJoinEquivalence(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -88,17 +86,14 @@ func TestParallelMergeJoinEquivalence(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				r := vagueRel("R", tc.n, tc.span, tc.vagueEvery, rng)
 				s := vagueRel("S", tc.n+rng.Intn(100), tc.span, tc.vagueEvery, rng)
-				var sc Counters
 				ss := NewOpStats("merge-join", "")
-				serial := drain(t, morselJoin(t, r, s, fuzzy.Crisp(0), nil, 1, &sc, ss))
+				serial := drain(t, morselJoin(t, r, s, fuzzy.Crisp(0), nil, 1, ss))
 				for _, workers := range []int{2, 3, 8} {
-					var pc Counters
 					ps := NewOpStats("merge-join", "")
-					identicalSequences(t, serial, drain(t, morselJoin(t, r, s, fuzzy.Crisp(0), nil, workers, &pc, ps)), 0)
-					sameCounters(t, fmt.Sprintf("workers=%d", workers), &pc, &sc)
-					if pc.Comparisons.Load() < pc.DegreeEvals.Load() {
+					identicalSequences(t, serial, drain(t, morselJoin(t, r, s, fuzzy.Crisp(0), nil, workers, ps)), 0)
+					if ps.Comparisons.Load() < ps.DegreeEvals.Load() {
 						t.Errorf("workers=%d: comparisons %d below degree evals %d",
-							workers, pc.Comparisons.Load(), pc.DegreeEvals.Load())
+							workers, ps.Comparisons.Load(), ps.DegreeEvals.Load())
 					}
 					sameStats(t, fmt.Sprintf("workers=%d", workers), ps, ss)
 				}
@@ -121,9 +116,9 @@ func TestParallelBandMergeJoinEquivalence(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				r := vagueRel("R", 400, 1600, 8, rng)
 				s := vagueRel("S", 430, 1600, 8, rng)
-				serial := drain(t, morselJoin(t, r, s, tol, nil, 1, nil, nil))
+				serial := drain(t, morselJoin(t, r, s, tol, nil, 1, testNode()))
 				for _, workers := range []int{2, 5} {
-					identicalSequences(t, serial, drain(t, morselJoin(t, r, s, tol, nil, workers, nil, nil)), 0)
+					identicalSequences(t, serial, drain(t, morselJoin(t, r, s, tol, nil, workers, testNode())), 0)
 				}
 			})
 		}
@@ -143,8 +138,8 @@ func TestParallelMergeJoinExtraPred(t *testing.T) {
 		// An arbitrary deterministic degree depending on both sides.
 		return fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num)/2 + 0.5
 	}
-	serial := drain(t, morselJoin(t, r, s, fuzzy.Crisp(0), extra, 1, nil, nil))
-	identicalSequences(t, serial, drain(t, morselJoin(t, r, s, fuzzy.Crisp(0), extra, 4, nil, nil)), 0)
+	serial := drain(t, morselJoin(t, r, s, fuzzy.Crisp(0), extra, 1, testNode()))
+	identicalSequences(t, serial, drain(t, morselJoin(t, r, s, fuzzy.Crisp(0), extra, 4, testNode())), 0)
 }
 
 // TestAtomicCutsIndependence verifies the morsel invariant directly: no
@@ -203,7 +198,7 @@ func TestParallelMergeJoinUnsortedInput(t *testing.T) {
 	s := frel.NewRelation(xSchema("S"))
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(7)))
 	pj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X",
-		fuzzy.Crisp(0), nil, nil, 4)
+		fuzzy.Crisp(0), nil, testNode(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

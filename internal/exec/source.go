@@ -69,15 +69,15 @@ func batchKeys(it BatchIterator) []frel.SupportKey {
 }
 
 // Counters accumulates the CPU-side work measures reported by the
-// experiments: fuzzy degree evaluations (the dominant cost the paper
-// attributes to "calls to the fuzzy library functions") and tuple
-// comparisons made by merges. The fields are atomic so one Counters may be
-// shared by the morsel workers of a merge-join; Counters must not be
-// copied after first use.
+// experiments across statements: fuzzy degree evaluations (the dominant
+// cost the paper attributes to "calls to the fuzzy library functions")
+// and tuple comparisons made by merges and sorts. It is a sum, not a
+// second counting path: operators count only into their plan nodes, and
+// each statement adds its tree's totals once, when it ends (AddTotals).
+// Counters must not be copied after first use.
 type Counters struct {
 	DegreeEvals atomic.Int64
 	Comparisons atomic.Int64
-	TuplesOut   atomic.Int64
 
 	// Sort-order cache traffic: a hit means a query reused a previously
 	// built sorted permutation (no re-sort), a miss means the order was
@@ -98,23 +98,24 @@ type Counters struct {
 	Morsels      atomic.Int64
 }
 
-// Add accumulates other into c.
-func (c *Counters) Add(other *Counters) {
-	c.DegreeEvals.Add(other.DegreeEvals.Load())
-	c.Comparisons.Add(other.Comparisons.Load())
-	c.TuplesOut.Add(other.TuplesOut.Load())
-	c.SortCacheHits.Add(other.SortCacheHits.Load())
-	c.SortCacheMisses.Add(other.SortCacheMisses.Load())
-	c.IndexHits.Add(other.IndexHits.Load())
-	c.KernelTuples.Add(other.KernelTuples.Load())
-	c.Morsels.Add(other.Morsels.Load())
+// AddTotals adds the work counted in the statistics tree rooted at s.
+func (c *Counters) AddTotals(s *StatsSnapshot) {
+	c.DegreeEvals.Add(s.DegreeEvals)
+	c.Comparisons.Add(s.Comparisons)
+	c.SortCacheHits.Add(s.CacheHits)
+	c.SortCacheMisses.Add(s.CacheMisses)
+	c.IndexHits.Add(s.IndexHits)
+	c.KernelTuples.Add(s.KernelTuples)
+	c.Morsels.Add(s.Morsels)
+	for _, ch := range s.Children {
+		c.AddTotals(ch)
+	}
 }
 
 // Reset zeroes all counters.
 func (c *Counters) Reset() {
 	c.DegreeEvals.Store(0)
 	c.Comparisons.Store(0)
-	c.TuplesOut.Store(0)
 	c.SortCacheHits.Store(0)
 	c.SortCacheMisses.Store(0)
 	c.IndexHits.Store(0)

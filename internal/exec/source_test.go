@@ -67,7 +67,7 @@ func TestHeapSourceEarlyClose(t *testing.T) {
 func TestMergeJoinOverHeapSources(t *testing.T) {
 	m, h := heapWith(t, 300)
 	_, h2 := heapWith(t, 300)
-	mj, err := NewKernelMergeJoin(NewHeapSource(h), NewHeapSource(h2), "X", "X", fuzzy.Crisp(0), nil, nil, 1)
+	mj, err := NewKernelMergeJoin(NewHeapSource(h), NewHeapSource(h2), "X", "X", fuzzy.Crisp(0), nil, testNode(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestMergeJoinHeapSortedInputs(t *testing.T) {
 		return h
 	}
 	r, s := mk("r"), mk("s")
-	mj, err := NewKernelMergeJoin(NewHeapSource(r), NewHeapSource(s), "X", "X", fuzzy.Crisp(0), nil, nil, 2)
+	mj, err := NewKernelMergeJoin(NewHeapSource(r), NewHeapSource(s), "X", "X", fuzzy.Crisp(0), nil, testNode(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	}
 	r, s := mk("r"), mk("s")
 
-	mj, err := NewKernelMergeJoin(NewHeapSource(r), NewHeapSource(s), "X", "X", fuzzy.Crisp(0), nil, nil, 2)
+	mj, err := NewKernelMergeJoin(NewHeapSource(r), NewHeapSource(s), "X", "X", fuzzy.Crisp(0), nil, testNode(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	}
 	it.Close()
 
-	nl := NewBlockNLJoin(NewHeapSource(r), NewHeapSource(s), func(l, m frel.Tuple) float64 { return 1 }, 0, nil)
+	nl := NewBlockNLJoin(NewHeapSource(r), NewHeapSource(s), func(l, m frel.Tuple) float64 { return 1 }, 0, testNode())
 	it2, err := nl.Open()
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	it2.Close()
 
 	am, err := NewMergeAntiMin(NewHeapSource(r), NewHeapSource(s), "X", "X",
-		func(l, m frel.Tuple) float64 { return 1 }, nil, 1)
+		func(l, m frel.Tuple) float64 { return 1 }, testNode(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,23 +168,5 @@ func TestEarlyCloseJoins(t *testing.T) {
 
 	if m.Pool().PinnedPages() != 0 {
 		t.Errorf("pinned pages leaked after early closes")
-	}
-}
-
-func TestCountersAdd(t *testing.T) {
-	var a, b Counters
-	a.DegreeEvals.Store(1)
-	a.Comparisons.Store(2)
-	a.TuplesOut.Store(3)
-	b.DegreeEvals.Store(10)
-	b.Comparisons.Store(20)
-	b.TuplesOut.Store(30)
-	a.Add(&b)
-	if a.DegreeEvals.Load() != 11 || a.Comparisons.Load() != 22 || a.TuplesOut.Load() != 33 {
-		t.Errorf("Add = %d/%d/%d", a.DegreeEvals.Load(), a.Comparisons.Load(), a.TuplesOut.Load())
-	}
-	a.Reset()
-	if a.DegreeEvals.Load() != 0 || a.Comparisons.Load() != 0 || a.TuplesOut.Load() != 0 {
-		t.Errorf("Reset left counters nonzero")
 	}
 }

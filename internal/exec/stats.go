@@ -1,20 +1,20 @@
-// Per-operator runtime statistics for EXPLAIN ANALYZE.
+// Per-operator runtime statistics: the one place work is counted.
 //
-// Every operator that participates in an analyzed query gets an OpStats
-// node; the nodes form a tree mirroring the operator tree. Counters that
-// an operator maintains internally (comparisons, degree evaluations,
-// Rng(r) scan lengths, sort runs, …) are written through an optional
-// *OpStats field on the operator; rows out and wall time are measured
-// from the outside by wrapping the operator in a Stated source, so a
-// node shared by several morsel workers of one join never double-counts
-// its output.
+// Every operator of every statement gets an OpStats node; the nodes form
+// a tree mirroring the operator tree, which EXPLAIN ANALYZE renders.
+// Counters that an operator maintains internally (comparisons, degree
+// evaluations, Rng(r) scan lengths, sort runs, …) are written through the
+// operator's *OpStats field; rows out and wall time are measured from the
+// outside by wrapping the operator in a Stated source, so a node shared by
+// several morsel workers of one join never double-counts its output. A
+// statement's work totals are the sums over its tree (Counters.AddTotals).
 //
 // All counters are atomics: the morsels of one logical operator write to
-// the same node concurrently. The counters an analyzed plan reports are
-// scheduling-invariant — Comparisons counts only pairs whose supports
-// intersect, a set no morsel cut of KernelMergeJoin can split — so serial
-// and parallel runs of the same query report identical totals, which the
-// property tests use as a correctness oracle.
+// the same node concurrently. The work counters are scheduling-invariant
+// — a merge operator's window empties at every atomic cut, so no morsel
+// boundary changes which tuples it examines — and serial and parallel
+// runs of the same query report identical totals, which the property
+// tests use as a correctness oracle.
 package exec
 
 import (
@@ -34,7 +34,7 @@ type OpStats struct {
 	Label string // operator detail, e.g. "R.B = S.B"
 
 	RowsOut     atomic.Int64 // tuples produced (counted by the Stated wrapper)
-	Comparisons atomic.Int64 // support-intersecting pairs examined
+	Comparisons atomic.Int64 // window tuples, nested-loop pairs or sort keys compared
 	DegreeEvals atomic.Int64 // membership degree evaluations
 	Pruned      atomic.Int64 // tuples dropped by a WITH D >= threshold
 
@@ -78,36 +78,14 @@ func NewOpStats(op, label string) *OpStats {
 
 // AddChild links an input operator's node under this one.
 func (s *OpStats) AddChild(c *OpStats) {
-	if c == nil {
-		return
-	}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 }
 
-// ObserveRng records the Rng(r) scan length of one outer tuple.
-func (s *OpStats) ObserveRng(n int64) {
-	s.RngCount.Add(1)
-	s.RngSum.Add(n)
-	for {
-		cur := s.rngMin.Load()
-		if n >= cur || s.rngMin.CompareAndSwap(cur, n) {
-			break
-		}
-	}
-	for {
-		cur := s.rngMax.Load()
-		if n <= cur || s.rngMax.CompareAndSwap(cur, n) {
-			break
-		}
-	}
-}
-
 // ObserveRngBulk records count Rng(r) observations at once: their sum and
-// the min/max among them. It is equivalent to count individual ObserveRng
-// calls and lets batched operators flush one accumulated observation set
-// per batch. count <= 0 records nothing.
+// the min/max among them, so batched operators flush one accumulated
+// observation set per morsel or batch. count <= 0 records nothing.
 func (s *OpStats) ObserveRngBulk(count, sum, min, max int64) {
 	if count <= 0 {
 		return
@@ -319,20 +297,3 @@ func (it *statedBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 func (it *statedBatchIterator) Keys() []frel.SupportKey { return batchKeys(it.in) }
 func (it *statedBatchIterator) Err() error              { return it.in.Err() }
 func (it *statedBatchIterator) Close()                  { it.in.Close() }
-
-// Unwrap strips any Stated and context-cancellation wrappers, returning
-// the underlying source. Planner heuristics that sniff concrete source
-// types (sampling, size estimates, the sort-order cache) use it so
-// analyzed, cancellable, and plain runs pick identical plans.
-func Unwrap(src Source) Source {
-	for {
-		switch s := src.(type) {
-		case *Stated:
-			src = s.Src
-		case *cancelSource:
-			src = s.src
-		default:
-			return src
-		}
-	}
-}

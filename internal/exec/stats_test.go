@@ -2,17 +2,21 @@ package exec
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/frel"
 )
 
+// TestObserveRng checks the bulk Rng(r) observations the merge operators
+// flush per morsel: the scan lengths 3, 0 and 7, 2 in two flushes, plus
+// an empty flush that records nothing.
 func TestObserveRng(t *testing.T) {
 	s := NewOpStats("merge-join", "R.B = S.B")
-	for _, n := range []int64{3, 0, 7, 2} {
-		s.ObserveRng(n)
-	}
+	s.ObserveRngBulk(2, 3, 0, 3)
+	s.ObserveRngBulk(0, 0, math.MaxInt64, 0)
+	s.ObserveRngBulk(2, 9, 2, 7)
 	snap := s.Snapshot()
 	if snap.RngCount != 4 || snap.RngMin != 0 || snap.RngMax != 7 {
 		t.Fatalf("rng stats = n%d min%d max%d, want n4 min0 max7", snap.RngCount, snap.RngMin, snap.RngMax)
@@ -26,7 +30,6 @@ func TestSnapshotTree(t *testing.T) {
 	root := NewOpStats("project", "")
 	child := NewOpStats("scan", "R")
 	root.AddChild(child)
-	root.AddChild(nil) // ignored
 	root.RowsOut.Add(2)
 	root.Comparisons.Add(5)
 	child.RowsOut.Add(10)
@@ -83,17 +86,5 @@ func TestStatedCountsRows(t *testing.T) {
 	}
 	if node.WallNanos.Load() < 0 {
 		t.Fatal("negative wall time")
-	}
-}
-
-func TestUnwrap(t *testing.T) {
-	sch := frel.NewSchema("R", frel.Attribute{Name: "X", Kind: frel.KindNumber})
-	src := Source(NewMemSource(frel.NewRelation(sch)))
-	wrapped := NewStated(NewStated(src, NewOpStats("a", "")), NewOpStats("b", ""))
-	if got := Unwrap(wrapped); got != src {
-		t.Fatalf("Unwrap = %T, want the underlying MemSource", got)
-	}
-	if got := Unwrap(src); got != src {
-		t.Fatal("Unwrap changed an unwrapped source")
 	}
 }

@@ -39,8 +39,7 @@ func asCorrelated(r *frel.Relation, outer bool) *frel.Relation {
 // the group-aggregate join run on the merge-join's morsel sweep, so over
 // wide supports and dangling tuples they too must return the reference
 // answer as the identical tuple sequence with bit-identical degrees, and
-// identical work counters and EXPLAIN ANALYZE stats, at every worker
-// count.
+// identical work counters, at every worker count.
 func TestParallelAntiMinGroupAggEquivalence(t *testing.T) {
 	aggs := []struct {
 		agg fuzzy.AggFunc
@@ -59,41 +58,36 @@ func TestParallelAntiMinGroupAggEquivalence(t *testing.T) {
 				}
 				ru, sv := asCorrelated(r, true), asCorrelated(s, false)
 
-				anti := func(workers int) (*frel.Relation, *Counters, *OpStats) {
-					var c Counters
+				anti := func(workers int) (*frel.Relation, *OpStats) {
 					st := NewOpStats("merge-anti-join", "")
-					op, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", notInPenalty(r, s), &c, workers)
+					op, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", notInPenalty(r, s), st, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					op.Stats = st
-					return drain(t, op), &c, st
+					return drain(t, op), st
 				}
-				group := func(agg fuzzy.AggFunc, op1 fuzzy.Op, workers int) (*frel.Relation, *Counters, *OpStats) {
-					var c Counters
+				group := func(agg fuzzy.AggFunc, op1 fuzzy.Op, workers int) (*frel.Relation, *OpStats) {
 					st := NewOpStats("group-agg-join", "")
 					op, err := NewGroupAggJoin(totalSortedSource(t, ru, "U"), sortedSource(t, sv, "V"),
-						"R.U", "S.V", fuzzy.OpEq, "S.Z", agg, "R.Y", op1, &c, workers)
+						"R.U", "S.V", fuzzy.OpEq, "S.Z", agg, "R.Y", op1, st, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					op.Stats = st
-					return drain(t, op), &c, st
+					return drain(t, op), st
 				}
 
-				serial, sc, ss := anti(1)
+				serial, ss := anti(1)
 				if want := bruteNotIn(r, s); !serial.Equal(want, 0) {
 					t.Fatalf("anti-join: got %d tuples, want %d", serial.Len(), want.Len())
 				}
 				for _, workers := range []int{2, 4} {
-					got, pc, ps := anti(workers)
+					got, ps := anti(workers)
 					name := fmt.Sprintf("anti-join workers=%d", workers)
 					identicalSequences(t, serial, got, 0)
-					sameCounters(t, name, pc, sc)
 					sameStats(t, name, ps, ss)
 				}
 				for _, a := range aggs {
-					serial, sc, ss := group(a.agg, a.op1, 1)
+					serial, ss := group(a.agg, a.op1, 1)
 					if serial.Len() == 0 {
 						t.Fatalf("%v: empty answer proves nothing", a.agg)
 					}
@@ -101,10 +95,9 @@ func TestParallelAntiMinGroupAggEquivalence(t *testing.T) {
 						t.Fatalf("%v: got %d tuples, want %d", a.agg, serial.Len(), want.Len())
 					}
 					for _, workers := range []int{2, 4} {
-						got, pc, ps := group(a.agg, a.op1, workers)
+						got, ps := group(a.agg, a.op1, workers)
 						name := fmt.Sprintf("%v workers=%d", a.agg, workers)
 						identicalSequences(t, serial, got, 0)
-						sameCounters(t, name, pc, sc)
 						sameStats(t, name, ps, ss)
 					}
 				}
@@ -184,7 +177,7 @@ func TestMergeOperatorsStopAtReach(t *testing.T) {
 	t.Run("merge-join", func(t *testing.T) {
 		tol := fuzzy.Tri(-5, 0, 5)
 		inner := &trickleSource{rel: sortedRel(t, s, "X")}
-		mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), inner, "R.X", "S.X", tol, nil, nil, 2)
+		mj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), inner, "R.X", "S.X", tol, nil, testNode(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +190,7 @@ func TestMergeOperatorsStopAtReach(t *testing.T) {
 	})
 	t.Run("anti-join", func(t *testing.T) {
 		inner := &trickleSource{rel: sortedRel(t, s, "X")}
-		op, err := NewMergeAntiMin(sortedSource(t, r, "X"), inner, "R.X", "S.X", notInPenalty(r, s), nil, 2)
+		op, err := NewMergeAntiMin(sortedSource(t, r, "X"), inner, "R.X", "S.X", notInPenalty(r, s), testNode(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +206,7 @@ func TestMergeOperatorsStopAtReach(t *testing.T) {
 		sv = withTail(sv, 0)
 		inner := &trickleSource{rel: sortedRel(t, sv, "V")}
 		op, err := NewGroupAggJoin(totalSortedSource(t, ru, "U"), inner,
-			"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpGt, nil, 2)
+			"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpGt, testNode(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}

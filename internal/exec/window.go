@@ -17,13 +17,12 @@ import (
 	"repro/internal/kernel"
 )
 
-// batchLocals accumulates the per-pair work counters of one morsel so the
-// shared atomics are touched once per morsel. The cmp/deg/tout fields
-// mirror Counters, stCmp/stDeg and the rng fields mirror OpStats (see
-// KernelMergeJoin.Stats for the two counting conventions).
+// batchLocals accumulates the work counters of one morsel so the
+// operator's statistics node is touched once per morsel: comparisons
+// (window tuples examined), degree evaluations (every conjunct reached)
+// and the Rng(r) scan lengths.
 type batchLocals struct {
-	cmp, deg, tout int64
-	stCmp, stDeg   int64
+	cmp, deg       int64
 	rngN, rngSum   int64
 	rngMin, rngMax int64
 }
@@ -41,25 +40,10 @@ func (l *batchLocals) observeRng(n int64) {
 	}
 }
 
-func (l *batchLocals) flush(c *Counters, st *OpStats) {
-	if l.cmp != 0 {
-		c.Comparisons.Add(l.cmp)
-	}
-	if l.deg != 0 {
-		c.DegreeEvals.Add(l.deg)
-	}
-	if l.tout != 0 {
-		c.TuplesOut.Add(l.tout)
-	}
-	if st != nil {
-		if l.stCmp != 0 {
-			st.Comparisons.Add(l.stCmp)
-		}
-		if l.stDeg != 0 {
-			st.DegreeEvals.Add(l.stDeg)
-		}
-		st.ObserveRngBulk(l.rngN, l.rngSum, l.rngMin, l.rngMax)
-	}
+func (l *batchLocals) flush(st *OpStats) {
+	st.Comparisons.Add(l.cmp)
+	st.DegreeEvals.Add(l.deg)
+	st.ObserveRngBulk(l.rngN, l.rngSum, l.rngMin, l.rngMax)
 	*l = newBatchLocals()
 }
 
@@ -83,7 +67,7 @@ type sweepMorsel struct {
 // widened supports end before lo (they precede every later range too).
 // Outer supports must arrive in begin order. Admitting before dropping
 // empties the window at every atomic cut, so the candidates — and with
-// them Counters.Comparisons — do not depend on where a morsel starts.
+// them the node's Comparisons — do not depend on where a morsel starts.
 func (m *sweepMorsel) window(lo, hi float64) (int, int) {
 	for m.end < m.iHi && m.iKeys[m.end].Lo+m.tol.A <= hi {
 		m.end++
@@ -116,7 +100,7 @@ func (m *sweepMorsel) hits(k int, lo, hi float64) bool {
 // Inner tuples are band-widened by tol. The inner is read only up to the
 // first tuple whose widened support begins after the last outer support
 // ends: no Rng(r) reaches that tuple or any after it.
-func runSweep(outer, inner Source, oi, ii int, tol fuzzy.Trapezoid, workers int, c *Counters, st *OpStats, body func(m *sweepMorsel) []frel.Tuple) (BatchIterator, error) {
+func runSweep(outer, inner Source, oi, ii int, tol fuzzy.Trapezoid, workers int, st *OpStats, body func(m *sweepMorsel) []frel.Tuple) (BatchIterator, error) {
 	oTuples, oKeys, err := collectKeyed(outer, oi, "outer", 0, math.Inf(1))
 	if err != nil {
 		return nil, err
@@ -132,10 +116,7 @@ func runSweep(outer, inner Source, oi, ii int, tol fuzzy.Trapezoid, workers int,
 	ranges := atomicCutsKeyed(oKeys, iKeys, tol)
 	grain := morselGrain(len(oTuples)+len(iTuples), workers)
 	morsels := kernel.Coalesce(len(ranges), func(i int) int { return ranges[i].weight() }, grain)
-	c.Morsels.Add(int64(len(morsels)))
-	if st != nil {
-		st.Morsels.Add(int64(len(morsels)))
-	}
+	st.Morsels.Add(int64(len(morsels)))
 	results := make([][]frel.Tuple, len(morsels))
 	err = runParallel(workers, len(morsels), func(i int) error {
 		// A morsel spans consecutive atomic ranges, so its outer and inner
@@ -148,7 +129,7 @@ func runSweep(outer, inner Source, oi, ii int, tol fuzzy.Trapezoid, workers int,
 			loc: newBatchLocals(),
 		}
 		results[i] = body(m)
-		m.loc.flush(c, st)
+		m.loc.flush(st)
 		return nil
 	})
 	if err != nil {
